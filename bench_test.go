@@ -240,7 +240,8 @@ func BenchmarkStoreQuery(b *testing.B) {
 					if from < 0 {
 						from = 0
 					}
-					if _, err := st.QueryPoint("uniq", keys[int(i*31)%len(keys)], from, horizon); err != nil {
+					req := store.QueryRequest{Metric: "uniq", Key: keys[int(i*31)%len(keys)], From: from, To: horizon + 1}
+					if _, err := st.Query(req); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -259,8 +260,8 @@ func BenchmarkStoreQuery(b *testing.B) {
 // Ingest cost covers the whole pipeline — router encode + batched log
 // append + node consume + store apply — amortized per observation by
 // draining the cluster inside the timed section. Query cost is the
-// owner-routed point query; the merged variant scatter-gathers a key set
-// across every node and combines the partials.
+// owner-routed single-key query; the aggregate variant scatter-gathers a
+// key set across every node and combines the partials.
 
 var clusterNodeCounts = []int{1, 4, 8}
 
@@ -345,16 +346,8 @@ func BenchmarkClusterQuery(b *testing.B) {
 		if from < 0 {
 			from = 0
 		}
-		b.Run(fmt.Sprintf("point/nodes=%d", nodes), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.QueryPoint("uniq", keys[(i*31)%len(keys)], from, horizon); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		// The typed single-key request must not regress the point path:
-		// both route to one owner and run the same single-shard gather.
+		// A single-key request routes to one owner and runs one
+		// single-shard gather there.
 		b.Run(fmt.Sprintf("typed-point/nodes=%d", nodes), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -364,10 +357,13 @@ func BenchmarkClusterQuery(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("merged16/nodes=%d", nodes), func(b *testing.B) {
+		// The 16-key union: owning nodes gather their keys and the
+		// partials combine into one aggregate answer.
+		b.Run(fmt.Sprintf("aggregate16/nodes=%d", nodes), func(b *testing.B) {
 			b.ReportAllocs()
+			req := store.QueryRequest{Metric: "uniq", Keys: keys[:16], From: from, To: horizon + 1, Aggregate: true}
 			for i := 0; i < b.N; i++ {
-				if _, err := r.QueryMerged("uniq", keys[:16], from, horizon); err != nil {
+				if _, err := r.Query(req); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -157,12 +157,13 @@ func main() {
 		arch.MasterLen(), arch.Staleness(), arch.SpeedStats().Observed)
 
 	probe := "page:/p0"
-	countStale := func(syn repro.StoreSynopsis, err error) uint64 {
+	// Batch-only and merged answers come through the typed serving API:
+	// no type assertion, just the Count accessor on the result.
+	countStale := func() uint64 {
+		res, err := arch.BatchOnlyQuery(repro.QueryRequest{Metric: "hits", Key: probe, From: 0, To: now + 1})
 		must(err)
-		return syn.(*repro.FreqSynopsis).Count("u0")
+		return res.Count("u0")
 	}
-	// Merged answers come through the typed serving API: no type
-	// assertion, just the Count accessor on the result.
 	count := func() uint64 {
 		res, err := be.Query(repro.QueryRequest{Metric: "hits", Key: probe, From: 0, To: now + 1})
 		must(err)
@@ -171,7 +172,7 @@ func main() {
 
 	// ---- 2+3. Batch recompute, then merged queries ----
 	fmt.Printf("before batch: batch-only(%s)=%d merged=%d\n",
-		probe, countStale(arch.BatchOnlyQuery("hits", probe, 0, now)), count())
+		probe, countStale(), count())
 	info, err := arch.RunBatch()
 	must(err)
 	if info.FromCheckpoint {
@@ -197,7 +198,7 @@ func main() {
 	fmt.Printf("5k fresh events later: staleness=%d  speed layer holds %d\n",
 		arch.Staleness(), arch.SpeedStats().Observed)
 	fmt.Printf("  batch-only(%s)=%d merged=%d (speed layer compensates batch latency)\n\n",
-		probe, countStale(arch.BatchOnlyQuery("hits", probe, 0, now)), count())
+		probe, countStale(), count())
 
 	// One merged request answers every family at once: a multi-metric
 	// QueryRequest fans out inside the architecture and comes back as one

@@ -8,8 +8,8 @@ import (
 
 // Example demonstrates the unified serving API: a sketch store is one
 // repro.Backend (the cluster router and the Lambda architecture are the
-// others), typed QueryRequests replace point queries plus type
-// assertions, and one multi-key aggregate request answers a union.
+// others), typed QueryRequests answer without type assertions, and one
+// multi-key aggregate request answers a union.
 func Example() {
 	st, err := repro.NewSketchStore(repro.SketchStoreConfig{Shards: 4, BucketWidth: 60, RingBuckets: 60})
 	if err != nil {

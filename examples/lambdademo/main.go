@@ -47,16 +47,10 @@ func main() {
 	}
 
 	probe := "metric-0"
-	countStale := func(syn repro.StoreSynopsis, err error) uint64 {
-		if err != nil {
-			panic(err)
-		}
-		return syn.(*repro.FreqSynopsis).Count("hit")
-	}
-	// Merged answers come through the typed serving API: the Count
-	// accessor replaces the *FreqSynopsis type assertion.
-	count := func(key string) uint64 {
-		res, err := arch.Query(repro.QueryRequest{Metric: "hits", Key: key, From: 0, To: now + 1})
+	// Batch-only and merged answers come through the typed serving API:
+	// the Count accessor replaces the *FreqSynopsis type assertion.
+	count := func(query func(repro.QueryRequest) (repro.QueryResult, error), key string) uint64 {
+		res, err := query(repro.QueryRequest{Metric: "hits", Key: key, From: 0, To: now + 1})
 		if err != nil {
 			panic(err)
 		}
@@ -65,8 +59,7 @@ func main() {
 	report := func(stage string) {
 		fmt.Printf("%-28s master=%-7d staleness=%-6d batch-only(%s)=%-6d merged=%-6d exact=%-6d\n",
 			stage, arch.MasterLen(), arch.Staleness(), probe,
-			countStale(arch.BatchOnlyQuery("hits", probe, 0, now)),
-			count(probe), exact[probe])
+			count(arch.BatchOnlyQuery, probe), count(arch.Query, probe), exact[probe])
 	}
 
 	appendBurst(20000)
@@ -93,7 +86,7 @@ func main() {
 	// answers are exact, and the offset fence guarantees no double count).
 	mismatches := 0
 	for k, v := range exact {
-		if count(k) != v {
+		if count(arch.Query, k) != v {
 			mismatches++
 		}
 	}

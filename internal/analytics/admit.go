@@ -81,24 +81,9 @@ func (a *admitted) QueryContext(ctx context.Context, req store.QueryRequest) (st
 	return QueryContext(ctx, a.be, req)
 }
 
-// QueryPoint delegates through the contract helper path.
-func (a *admitted) QueryPoint(metric, key string, from, to int64) (store.Synopsis, error) {
-	if pq, ok := a.be.(PointQuerier); ok {
-		return pq.QueryPoint(metric, key, from, to)
-	}
-	res, err := a.be.Query(store.PointRequest(metric, key, from, to))
-	if err != nil {
-		return nil, err
-	}
-	return res.Raw(), nil
-}
-
 // Flush settles the backend's producer-side buffers when it has any.
 func (a *admitted) Flush() {
 	if f, ok := a.be.(Flusher); ok {
 		f.Flush()
 	}
 }
-
-// Unwrap returns the wrapped backend.
-func (a *admitted) Unwrap() Backend { return a.be }

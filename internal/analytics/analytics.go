@@ -23,8 +23,9 @@
 //     by backend (the store is synchronous; the cluster appends to its
 //     ingest log and is read-your-writes after Drain; Lambda dispatches
 //     to the master log and speed layer).
-//   - Query answers a typed store.QueryRequest. A request naming an
-//     unregistered metric fails with an error wrapping
+//   - Query answers a typed store.QueryRequest over the half-open
+//     stream-time range [From, To); it is the only read path. A request
+//     naming an unregistered metric fails with an error wrapping
 //     store.ErrUnknownMetric. A registered metric with no data for a
 //     requested key or range answers an EMPTY synopsis cell, never an
 //     error — absence of writes is a valid answer. Multi-key and
@@ -66,9 +67,11 @@ type Backend interface {
 	Stats() store.Stats
 }
 
-// PointQuerier is the optional legacy surface: the inclusive-range point
-// query every backend keeps as a thin wrapper over Query. New code should
-// prefer Query; this exists so migrations can be mechanical.
+// PointQuerier is the retired inclusive-range point query.
+//
+// Deprecated: no backend in this module implements it; build a
+// half-open store.QueryRequest and call Query. The declaration remains
+// only because code outside this module still names it.
 type PointQuerier interface {
 	QueryPoint(metric, key string, from, to int64) (store.Synopsis, error)
 }

@@ -20,17 +20,13 @@ import (
 	"repro/internal/trace"
 )
 
-// Compile-time contract checks: dropping a Backend (or PointQuerier, or
-// the router's Flusher) method from any serving layer fails here, not at
-// a distant call site.
+// Compile-time contract checks: dropping a Backend (or the router's
+// Flusher) method from any serving layer fails here, not at a distant
+// call site.
 var (
 	_ Backend = (*store.Store)(nil)
 	_ Backend = (*dstore.Router)(nil)
 	_ Backend = (*lambda.Architecture)(nil)
-
-	_ PointQuerier = (*store.Store)(nil)
-	_ PointQuerier = (*dstore.Router)(nil)
-	_ PointQuerier = (*lambda.Architecture)(nil)
 
 	_ Flusher = (*dstore.Router)(nil)
 	_ Flusher = (*lambda.Architecture)(nil)

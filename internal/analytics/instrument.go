@@ -45,10 +45,10 @@ func WithTracer(tr *trace.Tracer) Option {
 // (analytics_backend_errors_total, labeled op=observe|query). The
 // wrapper delegates verbatim — answers are byte-identical to the bare
 // backend's, which the conformance suite pins — and implements
-// PointQuerier and Flusher: QueryPoint and Flush delegate when the
-// underlying backend has them, and otherwise fall back to the contract
-// equivalents (QueryPoint via Query on a PointRequest, Flush as a
-// no-op), matching the semantics every backend already guarantees.
+// BatchObserver, ContextQuerier and Flusher over any backend: each
+// delegates when the underlying backend has the surface and otherwise
+// falls back to its contract equivalent (a loop of Observe, a context
+// check before Query, a no-op Flush).
 //
 // A nil registry with no options returns be unchanged, so call sites
 // can wire instrumentation unconditionally; with WithTracer the wrapper
@@ -239,39 +239,9 @@ func (in *instrumented) Keys(metric string) []string { return in.be.Keys(metric)
 
 func (in *instrumented) Stats() store.Stats { return in.be.Stats() }
 
-// QueryPoint counts as a query against the metric; it delegates to the
-// backend's own PointQuerier when it has one and otherwise takes the
-// contract-equivalent Query path (every backend's QueryPoint is pinned
-// to be a thin wrapper over Query, so the answers are identical).
-func (in *instrumented) QueryPoint(metric, key string, from, to int64) (store.Synopsis, error) {
-	// When tracing, take the Query path even if the backend has its own
-	// PointQuerier: the point-querier signature has nowhere to carry the
-	// trace context, and the contract pins both paths to identical
-	// answers, so tracing costs no fidelity.
-	if pq, ok := in.be.(PointQuerier); ok && in.trc == nil {
-		t0 := time.Now()
-		syn, err := pq.QueryPoint(metric, key, from, to)
-		in.qryLat.ObserveSince(t0)
-		if err != nil {
-			in.qryErrs.Inc()
-			return syn, err
-		}
-		in.counterFor(in.qryCount, "analytics_backend_query_total", metric).Inc()
-		return syn, nil
-	}
-	res, err := in.Query(store.PointRequest(metric, key, from, to))
-	if err != nil {
-		return nil, err
-	}
-	return res.Raw(), nil
-}
-
 // Flush settles the backend's producer-side buffers when it has any.
 func (in *instrumented) Flush() {
 	if f, ok := in.be.(Flusher); ok {
 		f.Flush()
 	}
 }
-
-// Unwrap returns the wrapped backend.
-func (in *instrumented) Unwrap() Backend { return in.be }

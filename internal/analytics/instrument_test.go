@@ -59,19 +59,20 @@ func TestInstrumentTransparent(t *testing.T) {
 				t.Fatal("instrumented answers differ from bare answers")
 			}
 
-			// The PointQuerier face must be equally transparent.
-			pq := hw.be.(PointQuerier)
+			// Single-key requests, including a never-written key, must be
+			// equally transparent.
 			for _, key := range []string{"k0", "k3", "ghost"} {
-				ws, err := hb.be.(PointQuerier).QueryPoint("uniq", key, 0, conformanceSpan)
+				one := store.QueryRequest{Metric: "uniq", Key: key, From: 0, To: conformanceSpan}
+				ws, err := hb.be.Query(one)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gs, err := pq.QueryPoint("uniq", key, 0, conformanceSpan)
+				gs, err := hw.be.Query(one)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(gs, ws) {
-					t.Fatalf("QueryPoint(%s) diverges under instrumentation", key)
+				if !reflect.DeepEqual(gs.Answers(), ws.Answers()) {
+					t.Fatalf("single-key query %s diverges under instrumentation", key)
 				}
 			}
 
@@ -118,22 +119,6 @@ func TestInstrumentNilRegistry(t *testing.T) {
 	}
 	if be := Instrument(st, nil, "store"); be != Backend(st) {
 		t.Fatal("Instrument with nil registry did not return the bare backend")
-	}
-}
-
-// TestInstrumentUnwrap pins the escape hatch back to the bare backend.
-func TestInstrumentUnwrap(t *testing.T) {
-	st, err := store.New(storeGeom())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped := Instrument(st, telemetry.New(), "store")
-	un, ok := wrapped.(interface{ Unwrap() Backend })
-	if !ok {
-		t.Fatal("instrumented backend has no Unwrap")
-	}
-	if un.Unwrap() != Backend(st) {
-		t.Fatal("Unwrap did not return the bare backend")
 	}
 }
 

@@ -40,9 +40,10 @@
 // Commits use generation fencing (ConsumerGroup.CommitFenced), so a
 // preempted former owner can never clobber the new owner's position.
 //
-// Queries. Router.Query routes to the key's owner; Router.QueryMerged
-// fans a key set out to the owning nodes, each node combines its keys
-// locally, and the partials merge through store.CombineSnapshots — the
+// Queries. Router.Query routes each key to its owner; a multi-key
+// request fans the key set out to the owning nodes, each node gathers
+// its keys locally, and an aggregate request merges the per-key partials
+// through store.CombineSnapshots — the
 // mergeable-synopsis property is what makes the cluster answer equal a
 // single store fed the same log (experiment T3.1 checks this equality
 // through a kill-and-rejoin cycle).

@@ -14,6 +14,15 @@ import (
 // newTestCluster builds a cluster with three metric families registered
 // (distinct, frequency, quantiles) and no per-node budgets, so cluster
 // answers are exactly comparable to a single-store oracle.
+// querySyn answers one series over the half-open [from, to) through q's
+// Query and returns the merged synopsis.
+func querySyn(q interface {
+	Query(store.QueryRequest) (store.QueryResult, error)
+}, metric, key string, from, to int64) (store.Synopsis, error) {
+	res, err := q.Query(store.QueryRequest{Metric: metric, Key: key, From: from, To: to})
+	return res.Raw(), err
+}
+
 func newTestCluster(t *testing.T, cfg Config) *Cluster {
 	t.Helper()
 	if cfg.Store.BucketWidth == 0 {
@@ -108,22 +117,22 @@ func assertMatchesOracle(t *testing.T, c *Cluster, o *store.Store, to int64, con
 	}
 	checked := 0
 	for _, key := range keys {
-		cu, err := r.QueryPoint("uniq", key, 0, to)
+		cu, err := querySyn(r, "uniq", key, 0, to+1)
 		if err != nil {
 			t.Fatalf("%s: cluster uniq query %s: %v", context, key, err)
 		}
-		ou, err := o.QueryPoint("uniq", key, 0, to)
+		ou, err := querySyn(o, "uniq", key, 0, to+1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, want := cu.(*store.Distinct).Estimate(), ou.(*store.Distinct).Estimate(); got != want {
 			t.Fatalf("%s: uniq[%s] cluster %v != oracle %v", context, key, got, want)
 		}
-		ch, err := r.QueryPoint("hits", key, 0, to)
+		ch, err := querySyn(r, "hits", key, 0, to+1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		oh, err := o.QueryPoint("hits", key, 0, to)
+		oh, err := querySyn(o, "hits", key, 0, to+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,11 +142,11 @@ func assertMatchesOracle(t *testing.T, c *Cluster, o *store.Store, to int64, con
 				t.Fatalf("%s: hits[%s][%s] cluster %d != oracle %d", context, key, item, got, want)
 			}
 		}
-		cl, err := r.QueryPoint("lat", key, 0, to)
+		cl, err := querySyn(r, "lat", key, 0, to+1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ol, err := o.QueryPoint("lat", key, 0, to)
+		ol, err := querySyn(o, "lat", key, 0, to+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,10 +313,10 @@ func TestClusterKillUnderIngest(t *testing.T) {
 	assertMatchesOracle(t, c, o, int64(perProducer), "kill under ingest")
 }
 
-// TestQueryMergedScattersAcrossNodes pins the scatter-gather path: a
-// multi-key union answered by per-node partials combined through
+// TestAggregateQueryScattersAcrossNodes pins the scatter-gather path: a
+// multi-key aggregate answered by per-node partials combined through
 // CombineSnapshots must equal the oracle's own multi-key combine.
-func TestQueryMergedScattersAcrossNodes(t *testing.T) {
+func TestAggregateQueryScattersAcrossNodes(t *testing.T) {
 	c := newTestCluster(t, Config{Partitions: 8})
 	for i := 0; i < 4; i++ {
 		if _, err := c.StartNode(); err != nil {
@@ -324,13 +333,17 @@ func TestQueryMergedScattersAcrossNodes(t *testing.T) {
 		t.Fatalf("only %d keys", len(keys))
 	}
 
-	got, err := c.Router().QueryMerged("uniq", keys, 0, to)
+	union := func(metric string, keys []string, from, to int64) (store.Synopsis, error) {
+		res, err := c.Router().Query(store.QueryRequest{Metric: metric, Keys: keys, From: from, To: to, Aggregate: true})
+		return res.Raw(), err
+	}
+	got, err := union("uniq", keys, 0, to+1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parts := make([]store.Synopsis, 0, len(keys))
 	for _, key := range keys {
-		syn, err := o.QueryPoint("uniq", key, 0, to)
+		syn, err := querySyn(o, "uniq", key, 0, to+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,18 +361,18 @@ func TestQueryMergedScattersAcrossNodes(t *testing.T) {
 	// A union contains each series once: duplicated input keys must not
 	// change the answer (merging a key twice doubles additive counts).
 	doubled := append(append([]string(nil), keys...), keys...)
-	again, err := c.Router().QueryMerged("uniq", doubled, 0, to)
+	again, err := union("uniq", doubled, 0, to+1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g, w := again.(*store.Distinct).Estimate(), want.(*store.Distinct).Estimate(); g != w {
 		t.Fatalf("duplicated-keys union %v != deduplicated union %v", g, w)
 	}
-	hitsOnce, err := c.Router().QueryMerged("hits", keys[:4], 0, to)
+	hitsOnce, err := union("hits", keys[:4], 0, to+1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hitsTwice, err := c.Router().QueryMerged("hits", append(append([]string(nil), keys[:4]...), keys[:4]...), 0, to)
+	hitsTwice, err := union("hits", append(append([]string(nil), keys[:4]...), keys[:4]...), 0, to+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,10 +383,10 @@ func TestQueryMergedScattersAcrossNodes(t *testing.T) {
 		}
 	}
 
-	if _, err := c.Router().QueryMerged("nope", keys, 0, to); err == nil {
+	if _, err := union("nope", keys, 0, to+1); err == nil {
 		t.Fatal("unknown metric accepted")
 	}
-	if _, err := c.Router().QueryMerged("uniq", keys, 5, 1); err == nil {
+	if _, err := union("uniq", keys, 5, 1); err == nil {
 		t.Fatal("inverted range accepted")
 	}
 }
@@ -464,7 +477,7 @@ func TestClusterAggregateByteIdenticalToPerKeyCombine(t *testing.T) {
 		}
 		var parts []store.Synopsis
 		for _, key := range keys {
-			syn, err := r.QueryPoint(metric, key, 0, to)
+			syn, err := querySyn(r, metric, key, 0, to+1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -477,18 +490,6 @@ func TestClusterAggregateByteIdenticalToPerKeyCombine(t *testing.T) {
 		if !reflect.DeepEqual(agg.Raw(), want) {
 			t.Fatalf("%s: aggregate answer differs from per-key Query + CombineSnapshots", metric)
 		}
-	}
-	// QueryMerged is the same path through the legacy spelling.
-	merged, err := r.QueryMerged("uniq", keys, 0, to)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := r.Query(store.QueryRequest{Metric: "uniq", Keys: keys, From: 0, To: to + 1, Aggregate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(merged, agg.Raw()) {
-		t.Fatal("QueryMerged diverges from the aggregate Query it wraps")
 	}
 }
 
@@ -506,9 +507,5 @@ func TestQueryReportsUnreachableNodes(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "unowned") || !strings.Contains(err.Error(), "partitions") {
 		t.Fatalf("error does not name unowned partitions: %v", err)
-	}
-	if _, err := c.Router().QueryMerged("uniq", []string{"a", "b"}, 0, 10); err == nil ||
-		!strings.Contains(err.Error(), "unowned") {
-		t.Fatalf("QueryMerged error does not name unreachable state: %v", err)
 	}
 }

@@ -52,91 +52,86 @@ func newRouter(c *Cluster) *Router {
 
 // Observe encodes the observation onto the ingest topic, partitioned by
 // key — the same hash Produce uses, so a series always lands in one
-// partition and replays in order. Unknown metrics, empty keys and
-// negative times fail here, producer-side, rather than poisoning the
-// consumers (an empty key would round-robin by value hash in the log,
-// scattering one series across partitions that different nodes own).
+// partition and replays in order. It is a batch of one through
+// ObserveBatch.
 func (r *Router) Observe(obs store.Observation) error {
-	if obs.Time < 0 {
-		return core.Errf("Router", "Time", "%d must be >= 0", obs.Time)
-	}
-	if obs.Key == "" {
-		return core.Errf("Router", "Key", "must be non-empty (keys are the unit of partition ownership)")
-	}
-	if _, err := r.c.proto(obs.Metric); err != nil {
-		return err
-	}
-	rec := mqlog.Record{Key: obs.Key, Value: store.EncodeObservation(obs)}
-	if obs.Trace.Valid() && r.c.tracer() != nil {
-		// The wire codec doesn't carry trace context; a sampled
-		// observation crosses the log as a record header instead, where
-		// the owning node's event loop stitches it back (trace_wire.go).
-		rec.Headers = []mqlog.Header{{Key: trace.HeaderKey, Value: trace.EncodeContext(obs.Trace)}}
-	}
-	pid := r.c.topic.PartitionFor(obs.Key)
-	p := &r.parts[pid]
-	p.mu.Lock()
-	p.buf = append(p.buf, rec)
-	if len(p.buf) >= r.c.cfg.BatchSize {
-		r.appendBatch(pid, p.buf)
-		p.buf = p.buf[:0]
-	}
-	p.mu.Unlock()
-	return nil
+	return r.ObserveBatch([]store.Observation{obs})
 }
 
 // ObserveBatch encodes a whole slice of observations onto the ingest
 // topic with one partition-buffer acquisition per partition group
 // instead of one per observation. The entire batch is validated first
-// (producer-side, like Observe) and a validation failure buffers
-// NOTHING; an accepted batch reaches the log in input order per
-// partition — a key's records all land in one partition group, so
-// per-series replay order matches a loop of Observe exactly. Buffers
-// still flush at BatchSize; call Flush (or Drain) when the producer
-// finishes.
+// and a validation failure buffers NOTHING; an accepted batch reaches
+// the log in input order per partition — a key's records all land in
+// one partition group, so per-series replay order matches a loop of
+// Observe exactly. Buffers flush at BatchSize; call Flush (or Drain)
+// when the producer finishes.
 func (r *Router) ObserveBatch(obs []store.Observation) error {
 	if len(obs) == 0 {
 		return nil
 	}
 	for i := range obs {
-		o := &obs[i]
-		if o.Time < 0 {
-			return core.Errf("Router", "Time", "%d must be >= 0", o.Time)
-		}
-		if o.Key == "" {
-			return core.Errf("Router", "Key", "must be non-empty (keys are the unit of partition ownership)")
-		}
-		if _, err := r.c.proto(o.Metric); err != nil {
+		if err := r.validate(&obs[i]); err != nil {
 			return err
 		}
 	}
 	tracer := r.c.tracer()
+	if len(obs) == 1 {
+		// A batch of one is its own partition group; skip the grouping.
+		one := [1]int{0}
+		r.buffer(r.c.topic.PartitionFor(obs[0].Key), one[:], obs, tracer)
+		return nil
+	}
 	groups := make([][]int, len(r.parts))
 	for i := range obs {
 		pid := r.c.topic.PartitionFor(obs[i].Key)
 		groups[pid] = append(groups[pid], i)
 	}
 	for pid, group := range groups {
-		if len(group) == 0 {
-			continue
+		if len(group) > 0 {
+			r.buffer(pid, group, obs, tracer)
 		}
-		p := &r.parts[pid]
-		p.mu.Lock()
-		for _, i := range group {
-			o := obs[i]
-			rec := mqlog.Record{Key: o.Key, Value: store.EncodeObservation(o)}
-			if o.Trace.Valid() && tracer != nil {
-				rec.Headers = []mqlog.Header{{Key: trace.HeaderKey, Value: trace.EncodeContext(o.Trace)}}
-			}
-			p.buf = append(p.buf, rec)
-			if len(p.buf) >= r.c.cfg.BatchSize {
-				r.appendBatch(pid, p.buf)
-				p.buf = p.buf[:0]
-			}
-		}
-		p.mu.Unlock()
 	}
 	return nil
+}
+
+// validate rejects, producer-side rather than poisoning the consumers,
+// unknown metrics, negative times and empty keys (an empty key would
+// round-robin by value hash in the log, scattering one series across
+// partitions that different nodes own).
+func (r *Router) validate(o *store.Observation) error {
+	if o.Time < 0 {
+		return core.Errf("Router", "Time", "%d must be >= 0", o.Time)
+	}
+	if o.Key == "" {
+		return core.Errf("Router", "Key", "must be non-empty (keys are the unit of partition ownership)")
+	}
+	_, err := r.c.proto(o.Metric)
+	return err
+}
+
+// buffer encodes one partition group of validated observations into
+// partition pid's buffer under its lock, appending the buffer to the log
+// whenever it reaches BatchSize. The wire codec doesn't carry trace
+// context, so a sampled observation crosses the log as a record header
+// instead, where the owning node's event loop stitches it back
+// (trace_wire.go).
+func (r *Router) buffer(pid int, group []int, obs []store.Observation, tracer *trace.Tracer) {
+	p := &r.parts[pid]
+	p.mu.Lock()
+	for _, i := range group {
+		o := &obs[i]
+		rec := mqlog.Record{Key: o.Key, Value: store.EncodeObservation(*o)}
+		if o.Trace.Valid() && tracer != nil {
+			rec.Headers = []mqlog.Header{{Key: trace.HeaderKey, Value: trace.EncodeContext(o.Trace)}}
+		}
+		p.buf = append(p.buf, rec)
+		if len(p.buf) >= r.c.cfg.BatchSize {
+			r.appendBatch(pid, p.buf)
+			p.buf = p.buf[:0]
+		}
+	}
+	p.mu.Unlock()
 }
 
 // appendBatch lands one partition buffer on the log. When the batch
@@ -410,49 +405,6 @@ func (r *Router) QueryContext(ctx context.Context, req store.QueryRequest) (stor
 		}
 		return store.NewQueryResult(answers), nil
 	}
-}
-
-// QueryPoint answers a legacy point query (inclusive [from, to]) for one
-// series by routing to the node that owns the key's partition — a thin
-// wrapper over Query; see its fencing contract.
-func (r *Router) QueryPoint(metric, key string, from, to int64) (store.Synopsis, error) {
-	res, err := r.Query(store.PointRequest(metric, key, from, to))
-	if err != nil {
-		return nil, err
-	}
-	return res.Raw(), nil
-}
-
-// QueryMerged answers for the union of the given keys over the inclusive
-// range [from, to] — e.g. site-wide uniques over a set of pages — as an
-// aggregate Query: keys deduplicate and sort, owning nodes range-merge
-// their keys locally, and the per-key partials combine in sorted key
-// order through store.CombineSnapshots. The merge is exact for
-// merge-invariant synopses (HLL, Count-Min) and within the usual sketch
-// guarantees for the rest, which is the tutorial's "algorithms should
-// scale out" property end to end. A failed fan-out reports which
-// partitions were unowned or which nodes were unreachable by name.
-func (r *Router) QueryMerged(metric string, keys []string, from, to int64) (store.Synopsis, error) {
-	if len(keys) == 0 {
-		// The union over no series is the empty synopsis; skip the fan-out
-		// (and its validation of an arbitrary placeholder key).
-		proto, err := r.c.proto(metric)
-		if err != nil {
-			return nil, err
-		}
-		if from > to {
-			return nil, core.Errf("Router", "range", "from %d > to %d", from, to)
-		}
-		return proto(), nil
-	}
-	req := store.PointRequest(metric, "", from, to)
-	req.Keys = keys
-	req.Aggregate = true
-	res, err := r.Query(req)
-	if err != nil {
-		return nil, err
-	}
-	return res.Raw(), nil
 }
 
 // Keys returns every key of the metric resident in the cluster: the

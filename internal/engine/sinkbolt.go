@@ -1,12 +1,14 @@
 // sinkbolt.go sinks topology streams into any serving backend — the one
 // terminal bolt the platform design space needs now that the sharded
 // store, the partitioned cluster and the Lambda Architecture all answer
-// the same analytics.Backend contract. Where the engine previously grew
-// one bolt per serving layer (StoreBolt, ClusterBolt, LambdaBolt — kept
-// below as deprecated wrappers), a SinkBolt is written once against the
-// contract: it extracts an observation per tuple and hands it to
-// Backend.Observe, whatever partitioning, durability or batch/speed
-// split lives behind it.
+// the same analytics.Backend contract. A SinkBolt is written once
+// against the contract: it extracts an observation per tuple and hands
+// it to Backend.Observe, whatever partitioning, durability or
+// batch/speed split lives behind it. Into a cluster router, a processed
+// tuple is durable once appended and queryable once the owning node
+// consumes it; into a Lambda architecture, each tuple reaches both the
+// master log and the speed layer in one call, and a rejected
+// observation never reaches the master log.
 package engine
 
 import (

@@ -7,6 +7,7 @@ import (
 	"repro/internal/analytics"
 	"repro/internal/dstore"
 	"repro/internal/lambda"
+	"repro/internal/mqlog"
 	"repro/internal/store"
 )
 
@@ -14,109 +15,221 @@ func sinkGeom() store.Config {
 	return store.Config{Shards: 4, BucketWidth: 10, RingBuckets: 64}
 }
 
-// sinkBackends builds one harness per serving layer: the backend, a
-// drain to reach read-your-writes, and a label.
-func sinkBackends(t *testing.T) []struct {
-	name  string
+// sinkHarness is one serving layer under a SinkBolt, with the metric
+// registered: the backend, a drain to reach read-your-writes, the
+// ingest log it appends to (nil for the synchronous store) and any
+// layer-specific checks, run after the per-key answers match the oracle.
+type sinkHarness struct {
 	be    analytics.Backend
 	drain func() error
-} {
+	log   *mqlog.Topic
+	after func(t *testing.T, observed uint64, answers func() store.QueryResult)
+}
+
+func newSinkHarness(t *testing.T, kind string, proto store.Prototype) sinkHarness {
 	t.Helper()
-	st, err := store.New(sinkGeom())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := dstore.New(dstore.Config{Partitions: 4, Store: sinkGeom()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
-	arch, err := lambda.New(lambda.Config{Partitions: 2, Batch: sinkGeom(), Speed: sinkGeom()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { arch.Close() })
-	return []struct {
-		name  string
-		be    analytics.Backend
-		drain func() error
-	}{
-		{"store", st, func() error { return nil }},
-		{"cluster-router", cl.Router(), func() error {
-			if len(cl.NodeNames()) == 0 {
-				if _, err := cl.StartNode(); err != nil {
-					return err
-				}
-				if _, err := cl.StartNode(); err != nil {
-					return err
-				}
+	switch kind {
+	case "store":
+		st, err := store.New(sinkGeom())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.RegisterMetric("uniques", proto); err != nil {
+			t.Fatal(err)
+		}
+		return sinkHarness{be: st, drain: func() error { return nil }}
+	case "cluster-router":
+		cl, err := dstore.New(dstore.Config{Partitions: 4, Store: sinkGeom()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		if err := cl.Router().RegisterMetric("uniques", proto); err != nil {
+			t.Fatal(err)
+		}
+		// Start and settle the nodes before any record lands, so every
+		// record is consumed once by the live loop, never replayed by a
+		// post-start rebalance.
+		for i := 0; i < 2; i++ {
+			if _, err := cl.StartNode(); err != nil {
+				t.Fatal(err)
 			}
-			return cl.Drain()
-		}},
-		{"lambda", arch, arch.Drain},
+		}
+		if err := cl.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		return sinkHarness{
+			be:    cl.Router(),
+			drain: cl.Drain,
+			log:   cl.Topic(),
+			after: func(t *testing.T, observed uint64, _ func() store.QueryResult) {
+				if st := cl.Stats(); st.Applied+st.Replayed != observed {
+					t.Fatalf("cluster consumed %d, want %d", st.Applied+st.Replayed, observed)
+				}
+			},
+		}
+	case "lambda":
+		arch, err := lambda.New(lambda.Config{Partitions: 2, Batch: sinkGeom(), Speed: sinkGeom()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { arch.Close() })
+		if err := arch.RegisterMetric("uniques", proto); err != nil {
+			t.Fatal(err)
+		}
+		return sinkHarness{
+			be:    arch,
+			drain: arch.Drain,
+			log:   arch.Topic(),
+			// Every tuple reached the master log AND the speed layer: a
+			// batch recompute covers the whole run, truncates the speed
+			// layer to nothing, and leaves every merged answer unchanged.
+			after: func(t *testing.T, _ uint64, answers func() store.QueryResult) {
+				before := answers()
+				if _, err := arch.RunBatch(); err != nil {
+					t.Fatal(err)
+				}
+				if obs := arch.SpeedStats().Observed; obs != 0 {
+					t.Fatalf("speed layer holds %d observations after handoff", obs)
+				}
+				for i, a := range answers().Answers() {
+					if a.Distinct() != before.Answers()[i].Distinct() {
+						t.Fatalf("%s: post-batch distinct %d, pre-batch %d", a.Key, a.Distinct(), before.Answers()[i].Distinct())
+					}
+				}
+			},
+		}
 	}
+	t.Fatalf("unknown backend %q", kind)
+	return sinkHarness{}
 }
 
 // One generic SinkBolt drives every serving backend through the same
 // topology wiring — parallel bolt tasks hammer Observe concurrently, so
 // this is also the -race pass over the Backend write paths (named
-// TestSinkBolt for the CI race step).
+// TestSinkBolt for the CI race step). Each backend runs under a 4-task
+// fields-grouped topology and a 2-task shuffle-grouped one; every
+// seventh tuple is a foreign message the extractor skips, which still
+// acks and never reaches the backend or its log. Per-key answers must
+// equal one store fed the same observations in order.
 func TestSinkBoltIntoEachBackend(t *testing.T) {
 	const events = 3000
 	hll, err := store.NewDistinctProto(12, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, h := range sinkBackends(t) {
-		t.Run(h.name, func(t *testing.T) {
-			if err := h.be.RegisterMetric("uniques", hll); err != nil {
+	message := func(i int) Message {
+		key := fmt.Sprintf("page%d", i%8)
+		if i%7 == 6 {
+			return Message{Key: key, Value: "not an observation"}
+		}
+		return Message{Key: key, Value: store.Observation{
+			Metric: "uniques", Key: key, Item: fmt.Sprintf("u%d", i%500), Time: int64(i % 300),
+		}}
+	}
+	oracle, err := store.New(sinkGeom())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := oracle.RegisterMetric("uniques", hll); err != nil {
+		t.Fatal(err)
+	}
+	var observed uint64
+	for i := 0; i < events; i++ {
+		if obs, ok := DefaultExtract(message(i)); ok {
+			if err := oracle.Observe(obs); err != nil {
 				t.Fatal(err)
 			}
-			sink, err := NewSinkBolt(h.be, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sink.Backend() == nil {
-				t.Fatal("backend accessor lost the backend")
-			}
-			emitted := 0
-			spout := SpoutFunc(func() (Message, bool) {
-				if emitted >= events {
-					return Message{}, false
+			observed++
+		}
+	}
+	perKey := store.QueryRequest{Metric: "uniques", AllKeys: true, From: 0, To: 300}
+	want, err := oracle.Query(perKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, kind := range []string{"store", "cluster-router", "lambda"} {
+		for _, topo := range []struct {
+			suffix string
+			tasks  int
+			group  func(string) Input
+		}{{"", 4, FieldsFrom}, {"-shuffle", 2, ShuffleFrom}} {
+			t.Run(kind+topo.suffix, func(t *testing.T) {
+				h := newSinkHarness(t, kind, hll)
+				sink, err := NewSinkBolt(h.be, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-				i := emitted
-				emitted++
-				key := fmt.Sprintf("page%d", i%8)
-				return Message{Key: key, Value: store.Observation{
-					Metric: "uniques", Key: key, Item: fmt.Sprintf("u%d", i%500), Time: int64(i % 300),
-				}}, true
+				if sink.Backend() == nil {
+					t.Fatal("backend accessor lost the backend")
+				}
+				emitted := 0
+				spout := SpoutFunc(func() (Message, bool) {
+					if emitted >= events {
+						return Message{}, false
+					}
+					emitted++
+					return message(emitted - 1), true
+				})
+				run, err := NewBuilder().
+					AddSpout("events", spout).
+					AddBolt("sink", sink.Factory(), topo.tasks, topo.group("events")).
+					Build(Config{Semantics: AtLeastOnce})
+				if err != nil {
+					t.Fatal(err)
+				}
+				stats := run.Run()
+				if stats.Acked != events || stats.Dropped != 0 || stats.Errors["sink"] != 0 {
+					t.Fatalf("topology stats %+v, want %d acked and no failures", stats, events)
+				}
+				// Flush settles buffering backends (the router's partition
+				// batches), so the log holds every observation before any
+				// drain; a no-op for the store.
+				sink.Flush()
+				if h.log != nil {
+					var logged uint64
+					for _, end := range h.log.EndOffsets() {
+						logged += end
+					}
+					if logged != observed {
+						t.Fatalf("log holds %d records after Flush, want %d", logged, observed)
+					}
+				}
+				if err := h.drain(); err != nil {
+					t.Fatal(err)
+				}
+				if got := h.be.Stats().Observed; got != observed {
+					t.Fatalf("backend observed %d, want %d", got, observed)
+				}
+				answers := func() store.QueryResult {
+					res, err := h.be.Query(perKey)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				got := answers()
+				if got.Len() != want.Len() {
+					t.Fatalf("%d keys, want %d", got.Len(), want.Len())
+				}
+				for i, a := range got.Answers() {
+					if w := want.Answers()[i]; a.Key != w.Key || a.Distinct() != w.Distinct() {
+						t.Fatalf("%s distinct %d, oracle %s %d", a.Key, a.Distinct(), w.Key, w.Distinct())
+					}
+				}
+				agg, err := h.be.Query(store.QueryRequest{Metric: "uniques", AllKeys: true, From: 0, To: 300, Aggregate: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := agg.Distinct(); d < 450 || d > 550 {
+					t.Fatalf("aggregate distinct %d, want ~500", d)
+				}
+				if h.after != nil {
+					h.after(t, observed, answers)
+				}
 			})
-			topo, err := NewBuilder().
-				AddSpout("events", spout).
-				AddBolt("sink", sink.Factory(), 4, FieldsFrom("events")).
-				Build(Config{Semantics: AtLeastOnce})
-			if err != nil {
-				t.Fatal(err)
-			}
-			stats := topo.Run()
-			sink.Flush() // settles buffering backends; no-op for the store
-			if err := h.drain(); err != nil {
-				t.Fatal(err)
-			}
-			if stats.Acked != events {
-				t.Fatalf("acked %d, want %d", stats.Acked, events)
-			}
-			if got := h.be.Stats().Observed; got != events {
-				t.Fatalf("backend observed %d, want %d", got, events)
-			}
-			res, err := h.be.Query(store.QueryRequest{Metric: "uniques", AllKeys: true, From: 0, To: 300, Aggregate: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := res.Distinct(); got < 450 || got > 550 {
-				t.Fatalf("aggregate distinct %d, want ~500", got)
-			}
-		})
+		}
 	}
 }
 
@@ -146,5 +259,21 @@ func TestSinkBoltSkipAndError(t *testing.T) {
 	}
 	if _, err := NewSinkBolt(nil, nil); err == nil {
 		t.Fatal("nil backend accepted")
+	}
+}
+
+func TestDefaultExtract(t *testing.T) {
+	obs := store.Observation{Metric: "m", Key: "k", Item: "i", Time: 3}
+	if got, ok := DefaultExtract(Message{Value: obs}); !ok || got != obs {
+		t.Fatalf("value extract: %+v %v", got, ok)
+	}
+	if got, ok := DefaultExtract(Message{Value: &obs}); !ok || got != obs {
+		t.Fatalf("pointer extract: %+v %v", got, ok)
+	}
+	if _, ok := DefaultExtract(Message{Value: (*store.Observation)(nil)}); ok {
+		t.Fatal("nil pointer extracted")
+	}
+	if _, ok := DefaultExtract(Message{Value: "not an observation"}); ok {
+		t.Fatal("foreign value extracted")
 	}
 }

@@ -106,17 +106,17 @@ func lambdaOracleCompare(arch *lambda.Architecture, geom store.Config, protos ma
 	if err != nil {
 		panic(err)
 	}
-	q := func(src func(metric, key string, from, to int64) (store.Synopsis, error), metric, key string) store.Synopsis {
-		syn, err := src(metric, key, 0, to)
+	q := func(src func(store.QueryRequest) (store.QueryResult, error), metric, key string) store.Synopsis {
+		res, err := src(store.QueryRequest{Metric: metric, Key: key, From: 0, To: to + 1})
 		if err != nil {
 			panic(err)
 		}
-		return syn
+		return res.Raw()
 	}
 	for _, key := range oracle.Keys("hits") {
 		// Counters: additive, exact.
-		mh := q(arch.QueryPoint, "hits", key).(*store.Freq)
-		oh := q(oracle.QueryPoint, "hits", key).(*store.Freq)
+		mh := q(arch.Query, "hits", key).(*store.Freq)
+		oh := q(oracle.Query, "hits", key).(*store.Freq)
 		for u := 0; u < 8; u++ {
 			item := fmt.Sprintf("u%d", u)
 			if mh.Count(item) != oh.Count(item) {
@@ -125,17 +125,17 @@ func lambdaOracleCompare(arch *lambda.Architecture, geom store.Config, protos ma
 			checked++
 		}
 		// Cardinality: register max, exact.
-		if q(arch.QueryPoint, "uniq", key).(*store.Distinct).Estimate() != q(oracle.QueryPoint, "uniq", key).(*store.Distinct).Estimate() {
+		if q(arch.Query, "uniq", key).(*store.Distinct).Estimate() != q(oracle.Query, "uniq", key).(*store.Distinct).Estimate() {
 			mismatch++
 		}
 		checked++
 		// Top-k: exact regime (64 counters, 48 items), exact.
 		mt := map[string]uint64{}
-		for _, c := range q(arch.QueryPoint, "top", key).(*store.TopK).Top(64) {
+		for _, c := range q(arch.Query, "top", key).(*store.TopK).Top(64) {
 			mt[c.Item] = c.Count
 		}
 		ot := map[string]uint64{}
-		for _, c := range q(oracle.QueryPoint, "top", key).(*store.TopK).Top(64) {
+		for _, c := range q(oracle.Query, "top", key).(*store.TopK).Top(64) {
 			ot[c.Item] = c.Count
 		}
 		if len(mt) != len(ot) {
@@ -155,7 +155,7 @@ func lambdaOracleCompare(arch *lambda.Architecture, geom store.Config, protos ma
 		sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
 		n := len(vals)
 		tol := int(0.25*float64(n)) + 1 // 4x slack on 2 x logU/k = 0.125
-		ml := q(arch.QueryPoint, "lat", key).(*store.Quantiles)
+		ml := q(arch.Query, "lat", key).(*store.Quantiles)
 		for _, phi := range []float64{0.5, 0.9, 0.99} {
 			got := ml.Quantile(phi)
 			lo := sort.Search(n, func(i int) bool { return vals[i] >= got })

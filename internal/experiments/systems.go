@@ -329,18 +329,19 @@ func F1_Lambda() Table {
 	z := workload.NewZipf(rng, 200, 1.1)
 	const total = 60000
 	const batchEvery = 20000
-	count := func(syn store.Synopsis, err error) uint64 {
+	count := func(res store.QueryResult, err error) uint64 {
 		if err != nil {
 			panic(err)
 		}
-		return syn.(*store.Freq).Count("hit")
+		return res.Count("hit")
 	}
 	probeErr := func() (float64, float64) {
 		var bErr, mErr float64
 		for i := 0; i < 200; i++ {
 			k := fmt.Sprintf("k%d", i)
-			b := count(arch.BatchOnlyQuery("hits", k, 0, total))
-			m := count(arch.QueryPoint("hits", k, 0, total))
+			req := store.QueryRequest{Metric: "hits", Key: k, From: 0, To: total}
+			b := count(arch.BatchOnlyQuery(req))
+			m := count(arch.Query(req))
 			bErr += math.Abs(float64(b) - float64(exact[k]))
 			mErr += math.Abs(float64(m) - float64(exact[k]))
 		}

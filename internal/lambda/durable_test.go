@@ -291,11 +291,11 @@ func TestRunBatchIncrementalWithinProcess(t *testing.T) {
 		keys := want.Keys(metric)
 		sort.Strings(keys)
 		for _, key := range keys {
-			g, err := got.QueryPoint(metric, key, 0, 620)
+			g, err := querySyn(got, metric, key, 0, 621)
 			if err != nil {
 				t.Fatal(err)
 			}
-			w, err := want.QueryPoint(metric, key, 0, 620)
+			w, err := querySyn(want, metric, key, 0, 621)
 			if err != nil {
 				t.Fatal(err)
 			}

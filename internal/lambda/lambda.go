@@ -283,48 +283,22 @@ func (a *Architecture) ensureStarted() error {
 // lands in the speed layer. In single-store mode the speed write is
 // synchronous (read-your-writes); in cluster mode the router batches onto
 // the log and the owning node applies it (Drain the architecture's
-// Cluster for read-your-writes).
+// Cluster for read-your-writes). It is a batch of one through
+// ObserveBatch.
 func (a *Architecture) Append(obs store.Observation) error {
-	if err := a.ensureStarted(); err != nil {
-		return err
-	}
-	if a.cluster != nil {
-		// The router validates, encodes, and appends; nodes consume. One
-		// dispatch reaches both layers because both read the same log.
-		if err := a.cluster.Router().Observe(obs); err != nil {
-			return err
-		}
-		a.appended.Add(1)
-		return nil
-	}
-	// Validate before producing: the master dataset is immutable, so a
-	// rejected observation must not have been appended. The checks mirror
-	// the cluster router's, so a program can switch speed-layer modes
-	// without its accepted-input surface moving.
-	if obs.Time < 0 {
-		return core.Errf("Lambda", "Time", "%d must be >= 0", obs.Time)
-	}
-	if obs.Key == "" {
-		return core.Errf("Lambda", "Key", "must be non-empty (keys route the master log's partitions)")
-	}
-	if _, err := a.proto(obs.Metric); err != nil {
-		return err
-	}
-	a.speedMu.RLock()
-	defer a.speedMu.RUnlock()
-	a.topic.Produce(obs.Key, store.EncodeObservation(obs))
-	a.appended.Add(1)
-	return a.speed.Observe(obs)
+	return a.ObserveBatch([]store.Observation{obs})
 }
 
 // ObserveBatch dispatches a whole slice of observations with amortized
 // overhead: in cluster mode the router's batched path groups records
-// per partition; in single-store mode the entire batch is validated
-// first (a rejected batch appends NOTHING to the immutable master
-// dataset), then one append-lock acquisition covers every Produce and
-// the speed store absorbs the batch through its own amortized path.
-// Per-key order is input order in both modes, so an accepted batch is
-// byte-identical to a loop of Append.
+// per partition (the router validates, encodes and appends; one
+// dispatch reaches both layers because both read the same log); in
+// single-store mode the entire batch is validated first (a rejected
+// batch appends NOTHING to the immutable master dataset), then one
+// append-lock acquisition covers every Produce and the speed store
+// absorbs the batch through its own amortized path. Per-key order is
+// input order in both modes, so an accepted batch is byte-identical to a
+// loop of Append.
 func (a *Architecture) ObserveBatch(obs []store.Observation) error {
 	if len(obs) == 0 {
 		return nil
@@ -339,6 +313,8 @@ func (a *Architecture) ObserveBatch(obs []store.Observation) error {
 		a.appended.Add(uint64(len(obs)))
 		return nil
 	}
+	// The checks mirror the cluster router's, so a program can switch
+	// speed-layer modes without its accepted-input surface moving.
 	for i := range obs {
 		o := &obs[i]
 		if o.Time < 0 {
@@ -699,29 +675,19 @@ func unionKeys(parts ...[]string) []string {
 	return slices.Compact(out)
 }
 
-// QueryPoint answers a legacy point query (inclusive [from, to]) for one
-// series — a thin wrapper over Query; see its layer-pairing contract.
-func (a *Architecture) QueryPoint(metric, key string, from, to int64) (store.Synopsis, error) {
-	res, err := a.Query(store.PointRequest(metric, key, from, to))
-	if err != nil {
-		return nil, err
+// BatchOnlyQuery answers req from the serving layer alone — the stale
+// answer a batch-only system would give between recomputes, used by the
+// F1 staleness experiment. Before the first batch run it answers from
+// an empty view: every requested cell empty.
+func (a *Architecture) BatchOnlyQuery(req store.QueryRequest) (store.QueryResult, error) {
+	view := a.batch.Load()
+	if view == nil {
+		var err error
+		if view, err = store.FreezeAt(a.cfg.Batch, a.protoTable(), a.topic, make([]uint64, a.topic.Partitions()), nil); err != nil {
+			return store.QueryResult{}, err
+		}
 	}
-	return res.Raw(), nil
-}
-
-// BatchOnlyQuery answers from the serving layer alone — the stale answer
-// a batch-only system would give between recomputes, used by the F1
-// staleness experiment. Before the first batch run it answers empty.
-// The range is inclusive, as in QueryPoint.
-func (a *Architecture) BatchOnlyQuery(metric, key string, from, to int64) (store.Synopsis, error) {
-	if view := a.batch.Load(); view != nil {
-		return view.QueryPoint(metric, key, from, to)
-	}
-	proto, err := a.proto(metric)
-	if err != nil {
-		return nil, err
-	}
-	return proto(), nil
+	return view.Query(req)
 }
 
 // Keys returns the union of keys for the metric across the batch and

@@ -11,6 +11,15 @@ import (
 	"repro/internal/workload"
 )
 
+// querySyn answers one series over the half-open [from, to) through q's
+// Query and returns the merged synopsis.
+func querySyn(q interface {
+	Query(store.QueryRequest) (store.QueryResult, error)
+}, metric, key string, from, to int64) (store.Synopsis, error) {
+	res, err := q.Query(store.QueryRequest{Metric: metric, Key: key, From: from, To: to})
+	return res.Raw(), err
+}
+
 func storeGeom() store.Config {
 	return store.Config{Shards: 4, BucketWidth: 100, RingBuckets: 64}
 }
@@ -90,7 +99,7 @@ func TestLambdaValidation(t *testing.T) {
 	if err := a.RegisterMetric("late", testProtos(t)["hits"]); err == nil {
 		t.Fatal("metric registration after first append accepted")
 	}
-	if _, err := a.QueryPoint("nope", "k", 0, 10); err == nil {
+	if _, err := querySyn(a, "nope", "k", 0, 11); err == nil {
 		t.Fatal("query on unregistered metric accepted")
 	}
 }
@@ -119,18 +128,18 @@ func TestQueryMergesBatchAndSpeed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	merged, err := a.QueryPoint("hits", "clicks", 0, 100)
+	merged, err := querySyn(a, "hits", "clicks", 0, 101)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := hitCount(t, merged, "u"); got != 15 {
 		t.Fatalf("merged count %d, want 15", got)
 	}
-	batchOnly, err := a.BatchOnlyQuery("hits", "clicks", 0, 100)
+	batchOnly, err := a.BatchOnlyQuery(store.QueryRequest{Metric: "hits", Key: "clicks", From: 0, To: 101})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := hitCount(t, batchOnly, "u"); got != 10 {
+	if got := hitCount(t, batchOnly.Raw(), "u"); got != 10 {
 		t.Fatalf("batch-only count %d, want 10", got)
 	}
 	if s := a.Staleness(); s != 5 {
@@ -156,7 +165,7 @@ func TestRunBatchTruncatesSpeedLayer(t *testing.T) {
 		t.Fatalf("speed layer retains %d observations after batch handoff", obs)
 	}
 	// Merged query must not double count.
-	syn, err := a.QueryPoint("hits", "k0", 0, 1000)
+	syn, err := querySyn(a, "hits", "k0", 0, 1001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,15 +207,16 @@ func TestBatchOnlyGoesStale(t *testing.T) {
 		if err := a.Append(store.Observation{Metric: "hits", Key: "x", Item: "u", Value: 1, Time: int64(i)}); err != nil {
 			t.Fatal(err)
 		}
-		b, err := a.BatchOnlyQuery("hits", "x", 0, 1000)
+		req := store.QueryRequest{Metric: "hits", Key: "x", From: 0, To: 1001}
+		b, err := a.BatchOnlyQuery(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := a.QueryPoint("hits", "x", 0, 1000)
+		m, err := a.Query(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hitCount(t, b, "u") != hitCount(t, m, "u") {
+		if b.Count("u") != m.Count("u") {
 			stale++
 		}
 	}
@@ -236,34 +246,34 @@ func assertParity(t *testing.T, a *Architecture, o *store.Store, values map[stri
 		t.Fatalf("%s: oracle has no keys", context)
 	}
 	for _, key := range keys {
-		merged, err := a.QueryPoint("hits", key, 0, to)
+		merged, err := querySyn(a, "hits", key, 0, to+1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := o.QueryPoint("hits", key, 0, to)
+		want, _ := querySyn(o, "hits", key, 0, to+1)
 		for u := 0; u < 8; u++ {
 			item := fmt.Sprintf("u%d", u)
 			if g, w := hitCount(t, merged, item), want.(*store.Freq).Count(item); g != w {
 				t.Fatalf("%s: key %s item %s: merged count %d != oracle %d", context, key, item, g, w)
 			}
 		}
-		mu, err := a.QueryPoint("uniq", key, 0, to)
+		mu, err := querySyn(a, "uniq", key, 0, to+1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wu, _ := o.QueryPoint("uniq", key, 0, to)
+		wu, _ := querySyn(o, "uniq", key, 0, to+1)
 		if g, w := mu.(*store.Distinct).Estimate(), wu.(*store.Distinct).Estimate(); g != w {
 			t.Fatalf("%s: key %s: merged cardinality %v != oracle %v", context, key, g, w)
 		}
-		mt, err := a.QueryPoint("top", key, 0, to)
+		mt, err := querySyn(a, "top", key, 0, to+1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wt, _ := o.QueryPoint("top", key, 0, to)
+		wt, _ := querySyn(o, "top", key, 0, to+1)
 		if g, w := topCounts(mt), topCounts(wt); !sameCounts(g, w) {
 			t.Fatalf("%s: key %s: merged top-k %v != oracle %v", context, key, g, w)
 		}
-		ml, err := a.QueryPoint("lat", key, 0, to)
+		ml, err := querySyn(a, "lat", key, 0, to+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -459,7 +469,7 @@ func TestLambdaParityUnderConcurrentIngest(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := a.QueryPoint("hits", "k0", 0, int64(perWriter)); err != nil {
+			if _, err := querySyn(a, "hits", "k0", 0, int64(perWriter)+1); err != nil {
 				t.Error(err)
 				return
 			}
@@ -475,22 +485,22 @@ func TestLambdaParityUnderConcurrentIngest(t *testing.T) {
 	o := oracleStore(t, a)
 	for k := 0; k < 16; k++ {
 		key := fmt.Sprintf("k%d", k)
-		merged, err := a.QueryPoint("hits", key, 0, perWriter)
+		merged, err := querySyn(a, "hits", key, 0, perWriter+1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := o.QueryPoint("hits", key, 0, perWriter)
+		want, _ := querySyn(o, "hits", key, 0, perWriter+1)
 		for u := 0; u < 8; u++ {
 			item := fmt.Sprintf("u%d", u)
 			if g, w := hitCount(t, merged, item), want.(*store.Freq).Count(item); g != w {
 				t.Fatalf("key %s item %s: merged %d != oracle %d", key, item, g, w)
 			}
 		}
-		mu, err := a.QueryPoint("uniq", key, 0, perWriter)
+		mu, err := querySyn(a, "uniq", key, 0, perWriter+1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wu, _ := o.QueryPoint("uniq", key, 0, perWriter)
+		wu, _ := querySyn(o, "uniq", key, 0, perWriter+1)
 		if g, w := mu.(*store.Distinct).Estimate(), wu.(*store.Distinct).Estimate(); g != w {
 			t.Fatalf("key %s: merged cardinality %v != oracle %v", key, g, w)
 		}
@@ -557,18 +567,18 @@ func TestQueryBeforeFirstBatchServesSpeedOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	syn, err := a.QueryPoint("hits", "k", 0, 100)
+	syn, err := querySyn(a, "hits", "k", 0, 101)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := hitCount(t, syn, "u"); got != 20 {
 		t.Fatalf("pre-batch merged count %d, want 20", got)
 	}
-	b, err := a.BatchOnlyQuery("hits", "k", 0, 100)
+	b, err := a.BatchOnlyQuery(store.QueryRequest{Metric: "hits", Key: "k", From: 0, To: 101})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := hitCount(t, b, "u"); got != 0 {
+	if got := hitCount(t, b.Raw(), "u"); got != 0 {
 		t.Fatalf("batch-only before first batch %d, want 0", got)
 	}
 	if a.BatchView() != nil {
@@ -590,7 +600,9 @@ func BenchmarkLambdaAppend(b *testing.B) {
 	}
 }
 
-func BenchmarkLambdaQueryMerged(b *testing.B) {
+// BenchmarkLambdaQuery is a single-key query merging the batch view and
+// the speed layer.
+func BenchmarkLambdaQuery(b *testing.B) {
 	a := newArch(b, testConfig())
 	for i := 0; i < 50000; i++ {
 		if err := a.Append(store.Observation{Metric: "hits", Key: fmt.Sprintf("k%d", i%64), Item: fmt.Sprintf("u%d", i%8), Value: 1, Time: int64(i / 64)}); err != nil {
@@ -606,7 +618,7 @@ func BenchmarkLambdaQueryMerged(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.QueryPoint("hits", fmt.Sprintf("k%d", i%64), 0, to); err != nil {
+		if _, err := a.Query(store.QueryRequest{Metric: "hits", Key: fmt.Sprintf("k%d", i%64), From: 0, To: to + 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -61,22 +61,22 @@ func assertStoresAgree(t *testing.T, subject, control *Store, keys []string, now
 			if r[0] < 0 {
 				r[0] = 0
 			}
-			a, err := subject.QueryPoint("uniq", key, r[0], r[1])
+			a, err := querySyn(subject, "uniq", key, r[0], r[1]+1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := control.QueryPoint("uniq", key, r[0], r[1])
+			b, err := querySyn(control, "uniq", key, r[0], r[1]+1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if ae, be := a.(*Distinct).Estimate(), b.(*Distinct).Estimate(); ae != be {
 				t.Fatalf("uniq/%s over [%d,%d]: splayed %f != control %f", key, r[0], r[1], ae, be)
 			}
-			fa, err := subject.QueryPoint("hits", key, r[0], r[1])
+			fa, err := querySyn(subject, "hits", key, r[0], r[1]+1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fb, err := control.QueryPoint("hits", key, r[0], r[1])
+			fb, err := querySyn(control, "hits", key, r[0], r[1]+1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -438,7 +438,7 @@ func TestHotKeyFlushAndQueryDrainPending(t *testing.T) {
 		t.Fatalf("expected a pending backlog, all %d writes already flushed", got)
 	}
 	// A query of the hot key drains its pending batch first.
-	syn, err := st.QueryPoint("uniques", "hot", 0, 10)
+	syn, err := querySyn(st, "uniques", "hot", 0, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func TestHotKeyHomeEntrySurvivesIdleEviction(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("hot key listed %d times after idle churn (stats %+v)", count, st.Stats())
 	}
-	syn, err := st.QueryPoint("uniques", "hot", 0, 1000)
+	syn, err := querySyn(st, "uniques", "hot", 0, 1001)
 	if err != nil {
 		t.Fatal(err)
 	}

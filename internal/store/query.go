@@ -9,12 +9,13 @@
 // Batching is the point, not a convenience: a multi-key request against
 // the store groups its cold keys by home shard and gathers every key of a
 // shard under ONE read-lock acquisition (fanning the shards out in
-// parallel when more than one is involved), where N point queries would
-// pay N lock round-trips. Hot (splayed) keys take the same settle+gather
-// path a point query takes, key by key, because their buckets live under
-// the hot-key lock. The per-key answers a batched gather produces are
-// byte-identical to the point path's: same prototype construction, same
-// slot visit order, same open-under-lock / sealed-outside merge split.
+// parallel when more than one is involved), where N single-key queries
+// would pay N lock round-trips. Hot (splayed) keys take the per-key
+// settle+gather path (queryOne), key by key, because their buckets live
+// under the hot-key lock. The per-key answers a batched gather produces
+// are byte-identical to single-key queries': same prototype
+// construction, same slot visit order, same open-under-lock /
+// sealed-outside merge split.
 //
 // Aggregate answers merge the per-key synopses in sorted key order
 // through CombineSnapshots, so Aggregate is deterministically equal to
@@ -114,16 +115,6 @@ func (r QueryRequest) Normalize() (QueryRequest, error) {
 	slices.Sort(keys)
 	r.Keys, r.Key = slices.Compact(keys), ""
 	return r, nil
-}
-
-// PointRequest is the QueryRequest a legacy point query maps to: one
-// metric, one key, the inclusive range [from, to] widened to the half-open
-// [from, to+1) the new API speaks (clamped at the int64 horizon).
-func PointRequest(metric, key string, from, to int64) QueryRequest {
-	if to != math.MaxInt64 {
-		to++
-	}
-	return QueryRequest{Metric: metric, Key: key, From: from, To: to}
 }
 
 // Family identifies which synopsis family an Answer holds, and therefore
@@ -276,7 +267,7 @@ func (a Answer) Quantile(phi float64) uint64 {
 //	res, _ := be.Query(store.QueryRequest{Metric: "uniques", Key: "home", From: 0, To: 60})
 //	res.Distinct()
 //
-// reads exactly like the old point query, minus the type assertion.
+// reads like a scalar lookup, with no type assertion.
 type QueryResult struct {
 	answers []Answer
 }
@@ -347,12 +338,14 @@ func (r QueryResult) Quantile(phi float64) uint64 { return r.first().Quantile(ph
 // ---- Store implementation ----
 
 // Query answers one serving-API request (see QueryRequest): every
-// requested (metric, key) cell is range-merged exactly as QueryPoint
-// would, but cold keys sharing a shard are gathered under one read-lock
-// acquisition and distinct shards gather in parallel, so a multi-key
-// request costs one lock round-trip per touched shard instead of one per
-// key. Unknown metrics fail with ErrUnknownMetric; series the store never
-// saw answer empty synopses.
+// requested (metric, key) cell is range-merged over the buckets the
+// half-open [From, To) overlaps; cold keys sharing a shard are gathered
+// under one read-lock acquisition and distinct shards gather in
+// parallel, so a multi-key request costs one lock round-trip per touched
+// shard instead of one per key. Unknown metrics fail with
+// ErrUnknownMetric; series the store never saw answer empty synopses —
+// absence of writes is a valid answer. Each answer's synopsis is private
+// to the caller and reflects a consistent snapshot.
 func (s *Store) Query(req QueryRequest) (QueryResult, error) {
 	return s.QueryContext(context.Background(), req)
 }
@@ -419,20 +412,6 @@ func (s *Store) QueryContext(ctx context.Context, req QueryRequest) (QueryResult
 	return NewQueryResult(answers), nil
 }
 
-// QueryPoint answers a range merge-query for one series over the
-// inclusive stream-time range [from, to] and returns the merged synopsis
-// — the legacy point query, now a thin wrapper over Query. The result is
-// private to the caller and reflects a consistent snapshot; querying a
-// series the store has never seen returns an empty synopsis, not an error
-// — absence of writes is a valid answer.
-func (s *Store) QueryPoint(metric, key string, from, to int64) (Synopsis, error) {
-	res, err := s.Query(PointRequest(metric, key, from, to))
-	if err != nil {
-		return nil, err
-	}
-	return res.Raw(), nil
-}
-
 // keyGather accumulates one key's bucket merge during a batched gather.
 type keyGather struct {
 	k      entryKey
@@ -443,7 +422,7 @@ type keyGather struct {
 
 // queryKeys range-merges the metric's buckets of every key over bucket
 // range [fromB, toB] and returns one synopsis per key, in key order.
-// Hot (splayed) keys take the point path's settle+gather; cold keys are
+// Hot (splayed) keys take queryOne's settle+gather; cold keys are
 // grouped by home shard and gathered with one read-lock acquisition per
 // shard, shards fanning out in parallel when more than one is involved.
 // A valid tctx (a traced request) hangs one child span off it per shard
@@ -478,7 +457,7 @@ func (s *Store) queryKeys(ctx context.Context, metric string, proto Prototype, k
 	gatherShard := func(idx uint32, cells []*keyGather) error {
 		// A cancelled request stops before paying for the shard lock;
 		// one Err check per shard, never per key, keeps the hot single-
-		// shard point path at a single branch.
+		// shard single-key path at a single branch.
 		if err := ctx.Err(); err != nil {
 			return queryCancelled(err)
 		}
@@ -515,7 +494,7 @@ func (s *Store) queryKeys(ctx context.Context, metric string, proto Prototype, k
 		}
 		sh.mu.RUnlock()
 		// Sealed synopses are immutable; merge them lock-free, in the same
-		// slot order the point path uses, so answers match byte for byte.
+		// slot order queryOne uses, so answers match byte for byte.
 		for _, c := range cells {
 			for _, syn := range c.sealed {
 				if err := c.result.Merge(syn); err != nil {
@@ -529,8 +508,8 @@ func (s *Store) queryKeys(ctx context.Context, metric string, proto Prototype, k
 	switch len(perShard) {
 	case 0:
 	case 1:
-		// The single-shard case (every point query lands here) runs inline:
-		// no goroutine, no WaitGroup, nothing the old point path didn't pay.
+		// The single-shard case (every single-key query lands here) runs
+		// inline: no goroutine, no WaitGroup.
 		for idx, cells := range perShard {
 			if err := gatherShard(idx, cells); err != nil {
 				return nil, err

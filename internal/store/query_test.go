@@ -9,6 +9,15 @@ import (
 
 // fourFamilyStore returns a store with one metric per synopsis family and
 // a deterministic dataset across keys k0..k<keys-1>, times [0, span).
+// querySyn answers one series over the half-open [from, to) through q's
+// Query and returns the merged synopsis.
+func querySyn(q interface {
+	Query(QueryRequest) (QueryResult, error)
+}, metric, key string, from, to int64) (Synopsis, error) {
+	res, err := q.Query(QueryRequest{Metric: metric, Key: key, From: from, To: to})
+	return res.Raw(), err
+}
+
 func fourFamilyStore(t testing.TB, cfg Config, keys int, span int64) *Store {
 	t.Helper()
 	st := mustStore(t, cfg)
@@ -93,8 +102,9 @@ func TestQueryTypedAccessors(t *testing.T) {
 	}
 }
 
-// The batched multi-key gather must produce answers byte-identical to the
-// point path: same prototypes, same slot visit order, same merge split.
+// The batched multi-key gather must produce answers byte-identical to
+// single-key queries: same prototypes, same slot visit order, same merge
+// split.
 func TestQueryBatchMatchesPointByteForByte(t *testing.T) {
 	st := fourFamilyStore(t, Config{Shards: 8, BucketWidth: 10, RingBuckets: 64}, 16, 500)
 	keys := make([]string, 16)
@@ -107,12 +117,12 @@ func TestQueryBatchMatchesPointByteForByte(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, a := range res.Answers() {
-			want, err := st.QueryPoint(metric, a.Key, 0, 499)
+			want, err := querySyn(st, metric, a.Key, 0, 500)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(a.Raw(), want) {
-				t.Fatalf("%s/%s: batched answer differs from point answer", metric, a.Key)
+				t.Fatalf("%s/%s: batched answer differs from single-key answer", metric, a.Key)
 			}
 		}
 	}
@@ -140,7 +150,7 @@ func TestQueryAggregateMatchesCombine(t *testing.T) {
 		}
 		var parts []Synopsis
 		for _, key := range []string{"k0", "k1", "k3", "k5"} { // sorted, deduped
-			syn, err := st.QueryPoint(metric, key, 0, 399)
+			syn, err := querySyn(st, metric, key, 0, 400)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,16 +197,13 @@ func TestQueryRangeHalfOpen(t *testing.T) {
 			t.Fatalf("[%d,%d): count %d, want %d", tc.from, tc.to, got, tc.want)
 		}
 	}
-	// An empty range is a request error, matching from > to on the point path.
+	// An empty range is a request error.
 	if _, err := st.Query(QueryRequest{Metric: "hits", Key: "k", From: 10, To: 10}); err == nil {
 		t.Fatal("empty range accepted")
 	}
 	// Unknown metrics carry the sentinel.
 	if _, err := st.Query(QueryRequest{Metric: "nope", Key: "k", From: 0, To: 10}); !errors.Is(err, ErrUnknownMetric) {
 		t.Fatalf("unknown metric error: %v", err)
-	}
-	if _, err := st.QueryPoint("nope", "k", 0, 9); !errors.Is(err, ErrUnknownMetric) {
-		t.Fatal("point path lost the sentinel")
 	}
 }
 
@@ -221,7 +228,7 @@ func TestQueryAllKeys(t *testing.T) {
 }
 
 // A hot (splayed) key inside a batched request takes the settle+gather
-// path and still answers exactly what a point query answers.
+// path and still answers exactly what a single-key query answers.
 func TestQueryBatchWithHotKeys(t *testing.T) {
 	st := mustStore(t, Config{
 		Shards: 8, BucketWidth: 10, RingBuckets: 64,
@@ -249,7 +256,7 @@ func TestQueryBatchWithHotKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, a := range res.Answers() {
-		want, err := st.QueryPoint("uniq", a.Key, 0, 999)
+		want, err := querySyn(st, "uniq", a.Key, 0, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,9 +299,8 @@ func TestQueryRequestNormalize(t *testing.T) {
 	}
 }
 
-// The batched path must not regress single-key query latency: a one-key
-// Query takes the same inline single-shard gather the point path always
-// took. Compare with BenchmarkQuerySingleKeyPoint.
+// BenchmarkQuerySingleKeyTyped is the single-key query: one Query takes
+// the inline single-shard gather, no goroutine or WaitGroup.
 func BenchmarkQuerySingleKeyTyped(b *testing.B) {
 	st := fourFamilyStore(b, Config{Shards: 8, BucketWidth: 10, RingBuckets: 64}, 16, 500)
 	req := QueryRequest{Metric: "uniq", Key: "k3", From: 0, To: 500}
@@ -307,19 +313,8 @@ func BenchmarkQuerySingleKeyTyped(b *testing.B) {
 	}
 }
 
-func BenchmarkQuerySingleKeyPoint(b *testing.B) {
-	st := fourFamilyStore(b, Config{Shards: 8, BucketWidth: 10, RingBuckets: 64}, 16, 500)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := st.QueryPoint("uniq", "k3", 0, 499); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// One batched 16-key request vs 16 point queries — the lock round-trip
-// amortization the serving API exists for.
+// One batched 16-key request vs 16 single-key requests — the lock
+// round-trip amortization the serving API exists for.
 func BenchmarkQueryMultiKeyBatched(b *testing.B) {
 	st := fourFamilyStore(b, Config{Shards: 8, BucketWidth: 10, RingBuckets: 64}, 16, 500)
 	keys := make([]string, 16)
@@ -336,17 +331,17 @@ func BenchmarkQueryMultiKeyBatched(b *testing.B) {
 	}
 }
 
-func BenchmarkQueryMultiKeyPointLoop(b *testing.B) {
+func BenchmarkQueryMultiKeyLoop(b *testing.B) {
 	st := fourFamilyStore(b, Config{Shards: 8, BucketWidth: 10, RingBuckets: 64}, 16, 500)
-	keys := make([]string, 16)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("k%d", i)
+	reqs := make([]QueryRequest, 16)
+	for i := range reqs {
+		reqs[i] = QueryRequest{Metric: "uniq", Key: fmt.Sprintf("k%d", i), From: 0, To: 500}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, key := range keys {
-			if _, err := st.QueryPoint("uniq", key, 0, 499); err != nil {
+		for _, req := range reqs {
+			if _, err := st.Query(req); err != nil {
 				b.Fatal(err)
 			}
 		}

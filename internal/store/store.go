@@ -45,7 +45,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/frequency"
@@ -440,35 +439,14 @@ func (s *Store) shardIndex(k entryKey) uint32 {
 	return uint32(h & s.mask)
 }
 
-// Observe absorbs one observation. Unknown metrics and negative times are
-// errors; observations older than the entry's ring window are silently
-// dropped and counted in Stats.DroppedLate (the caller cannot usefully
-// retry them, which is the Kafka-consumer convention for truncated reads).
+// Observe absorbs one observation: a batch of one through ObserveBatch,
+// so both entry points share one write path. Unknown metrics and
+// negative times are errors; observations older than the entry's ring
+// window are silently dropped and counted in Stats.DroppedLate (the
+// caller cannot usefully retry them, which is the Kafka-consumer
+// convention for truncated reads).
 func (s *Store) Observe(obs Observation) error {
-	if obs.Time < 0 {
-		return core.Errf("Store", "Time", "%d must be >= 0", obs.Time)
-	}
-	k := entryKey{metric: obs.Metric, key: obs.Key}
-	// Hot keys route before the metric-table lookup: a published route
-	// proves the metric is registered (it was promoted from real writes),
-	// and the flush resolves the prototype once per batch instead.
-	if r := s.hotRouteFor(k); r != nil {
-		if s.observeHot(obs, k, r) {
-			return nil
-		}
-		// The route was demoted mid-flight or the batch is mid-seal; fall
-		// through to the home path, anchored to the route's high water.
-		proto, err := s.proto(obs.Metric)
-		if err != nil {
-			return err
-		}
-		return s.observeHome(obs, proto, k, r)
-	}
-	proto, err := s.proto(obs.Metric)
-	if err != nil {
-		return err
-	}
-	return s.observeHome(obs, proto, k, nil)
+	return s.ObserveBatch([]Observation{obs})
 }
 
 // writeLocked lands one observation in the entry's ring: late-drop check,
@@ -519,77 +497,6 @@ func (s *Store) writeLocked(sh *shard, e *entry, obs Observation, proto Prototyp
 	e.lastWrite = obs.Time
 	sh.touch(e)
 	return false, nil
-}
-
-// observeHome is the plain write path: the series' home shard, with
-// hot-key tracking when enabled. r, when non-nil, is the key's hot route
-// (the write was diverted): the home ring advances to the route's bucket
-// high water first, so retention decisions match an unsplayed store's.
-func (s *Store) observeHome(obs Observation, proto Prototype, k entryKey, r *hotRoute) error {
-	idx := s.shardIndex(k)
-	sh := s.shards[idx]
-	var sp *trace.Span
-	if s.trc != nil && obs.Trace.Valid() {
-		sp = s.traceObserve(obs, idx)
-		defer sp.Finish()
-	}
-	h := s.telLockWait
-	if h != nil || sp != nil {
-		t0 := time.Now()
-		sh.mu.Lock()
-		if h != nil {
-			h.ObserveSince(t0)
-		}
-		if sp != nil {
-			sp.SetAttrs(trace.Int("lock_wait_ns", int64(time.Since(t0))))
-		}
-	} else {
-		sh.mu.Lock()
-	}
-	if obs.Time > sh.maxTime {
-		sh.maxTime = obs.Time
-	}
-	e := sh.getOrCreate(k, s.cfg.RingBuckets, false)
-	if r != nil {
-		if anchor := r.newest.Load(); anchor > e.newest {
-			e.advance(anchor, sh)
-		}
-	}
-	dropped, err := s.writeLocked(sh, e, obs, proto)
-	if err != nil {
-		sh.mu.Unlock()
-		return err
-	}
-	if dropped {
-		sh.mu.Unlock()
-		s.droppedLate.Add(1)
-		return nil
-	}
-	var promote []entryKey
-	var seq uint64
-	sweep := false
-	if s.hotEnabled() {
-		sh.epochWrites++
-		if sh.epochWrites%s.cfg.HotKey.SampleEvery == 0 {
-			sh.tracker.Update(packHotKey(k))
-		}
-		if sh.epochWrites >= s.cfg.HotKey.EpochWrites {
-			promote, seq = s.harvestLocked(sh)
-			sweep = true
-		}
-	}
-	s.evict(sh)
-	sh.mu.Unlock()
-	s.observed.Add(1)
-	// Sweep before promoting so a just-promoted route is not immediately
-	// judged on an empty epoch.
-	if sweep {
-		s.sweepRoutes(idx, seq)
-	}
-	for _, pk := range promote {
-		s.promote(pk)
-	}
-	return nil
 }
 
 // applyLocked lands one hot key's sealed batch in the entry's ring. It

@@ -65,7 +65,7 @@ func TestRegisterMetricValidation(t *testing.T) {
 	if err := st.Observe(Observation{Metric: "nope", Time: 0}); err == nil {
 		t.Fatal("unknown metric accepted")
 	}
-	if _, err := st.QueryPoint("nope", "k", 0, 1); err == nil {
+	if _, err := querySyn(st, "nope", "k", 0, 2); err == nil {
 		t.Fatal("query of unknown metric accepted")
 	}
 }
@@ -84,7 +84,7 @@ func TestQueryMatchesDirectSketch(t *testing.T) {
 		}
 		direct.UpdateString(item)
 	}
-	syn, err := st.QueryPoint("uniques", "page", 0, 399)
+	syn, err := querySyn(st, "uniques", "page", 0, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,25 +109,25 @@ func TestQueryRangeSelectsBuckets(t *testing.T) {
 		from, to int64
 		want     float64
 	}{
-		{0, 99, 10},
-		{0, 9, 1},
-		{30, 59, 3},
-		{90, 1000, 1},
-		{500, 900, 0},
+		{0, 100, 10},
+		{0, 10, 1},
+		{30, 60, 3},
+		{90, 1001, 1},
+		{500, 901, 0},
 	} {
-		syn, err := st.QueryPoint("uniques", "k", tc.from, tc.to)
+		syn, err := querySyn(st, "uniques", "k", tc.from, tc.to)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := syn.(*Distinct).Estimate(); got < tc.want-0.5 || got > tc.want+0.5 {
-			t.Fatalf("range [%d,%d]: estimate %f, want ~%f", tc.from, tc.to, got, tc.want)
+			t.Fatalf("range [%d,%d): estimate %f, want ~%f", tc.from, tc.to, got, tc.want)
 		}
 	}
-	if _, err := st.QueryPoint("uniques", "k", 50, 40); err == nil {
+	if _, err := querySyn(st, "uniques", "k", 50, 40); err == nil {
 		t.Fatal("inverted range accepted")
 	}
 	// A never-written series answers empty, not an error.
-	syn, err := st.QueryPoint("uniques", "ghost", 0, 99)
+	syn, err := querySyn(st, "uniques", "ghost", 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +149,11 @@ func TestRingRetentionExpiresOldBuckets(t *testing.T) {
 		}
 	}
 	// Buckets 0..5 rotated out; only 6..9 retained.
-	syn, _ := st.QueryPoint("uniques", "k", 0, 99)
+	syn, _ := querySyn(st, "uniques", "k", 0, 100)
 	if got := syn.(*Distinct).Estimate(); got < 3.5 || got > 4.5 {
 		t.Fatalf("retained estimate %f, want ~4", got)
 	}
-	syn, _ = st.QueryPoint("uniques", "k", 0, 59)
+	syn, _ = querySyn(st, "uniques", "k", 0, 60)
 	if got := syn.(*Distinct).Estimate(); got != 0 {
 		t.Fatalf("expired range estimate %f, want 0", got)
 	}
@@ -169,7 +169,7 @@ func TestRingRetentionExpiresOldBuckets(t *testing.T) {
 	if err := st.Observe(Observation{Metric: "uniques", Key: "k", Item: "late-ok", Time: 60}); err != nil {
 		t.Fatal(err)
 	}
-	syn, _ = st.QueryPoint("uniques", "k", 60, 69)
+	syn, _ = querySyn(st, "uniques", "k", 60, 70)
 	if got := syn.(*Distinct).Estimate(); got < 1.5 || got > 2.5 {
 		t.Fatalf("bucket 6 after late write: estimate %f, want ~2", got)
 	}
@@ -190,11 +190,11 @@ func TestTimeJumpExpiresStaleBuckets(t *testing.T) {
 	}
 	// Jump far past the ring: buckets 0..2 are all behind the new window.
 	st.Observe(Observation{Metric: "uniques", Key: "k", Item: "new", Time: 10_000})
-	syn, _ := st.QueryPoint("uniques", "k", 0, 29)
+	syn, _ := querySyn(st, "uniques", "k", 0, 30)
 	if got := syn.(*Distinct).Estimate(); got != 0 {
 		t.Fatalf("expired history still served: estimate %f", got)
 	}
-	syn, _ = st.QueryPoint("uniques", "k", 0, 20_000)
+	syn, _ = querySyn(st, "uniques", "k", 0, 20_001)
 	if got := syn.(*Distinct).Estimate(); got < 0.5 || got > 1.5 {
 		t.Fatalf("post-jump estimate %f, want ~1", got)
 	}
@@ -229,11 +229,11 @@ func TestSizeEvictionHonorsByteBudget(t *testing.T) {
 	if keys := st.Keys("uniques"); len(keys) != stats.Entries {
 		t.Fatalf("Keys returned %d, stats say %d", len(keys), stats.Entries)
 	}
-	syn, _ := st.QueryPoint("uniques", "k49", 0, 9)
+	syn, _ := querySyn(st, "uniques", "k49", 0, 10)
 	if syn.(*Distinct).Estimate() == 0 {
 		t.Fatal("hottest key evicted")
 	}
-	syn, _ = st.QueryPoint("uniques", "k0", 0, 9)
+	syn, _ = querySyn(st, "uniques", "k0", 0, 10)
 	if syn.(*Distinct).Estimate() != 0 {
 		t.Fatal("coldest key survived a full budget")
 	}
@@ -256,7 +256,7 @@ func TestIdleEvictionReapsStaleEntries(t *testing.T) {
 	if stats.Entries != 1 {
 		t.Fatalf("entries %d, want 1", stats.Entries)
 	}
-	syn, _ := st.QueryPoint("uniques", "stale", 0, 200)
+	syn, _ := querySyn(st, "uniques", "stale", 0, 201)
 	if syn.(*Distinct).Estimate() != 0 {
 		t.Fatal("stale entry still answering")
 	}
@@ -268,8 +268,8 @@ func TestStatsCounters(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		st.Observe(Observation{Metric: "uniques", Key: "k", Item: fmt.Sprintf("i%d", i), Time: int64(i)})
 	}
-	st.QueryPoint("uniques", "k", 0, 9)
-	st.QueryPoint("uniques", "k", 0, 9)
+	querySyn(st, "uniques", "k", 0, 10)
+	querySyn(st, "uniques", "k", 0, 10)
 	stats := st.Stats()
 	if stats.Observed != 10 || stats.Queries != 2 {
 		t.Fatalf("stats %+v", stats)
@@ -300,25 +300,25 @@ func TestAllSynopsisFamiliesThroughStore(t *testing.T) {
 		st.Observe(Observation{Metric: "top", Key: "k", Item: fmt.Sprintf("it%d", i%7), Time: ts})
 		st.Observe(Observation{Metric: "lat", Key: "k", Value: uint64(i % 1000), Time: ts})
 	}
-	if syn, _ := st.QueryPoint("uniq", "k", 0, 499); syn.(*Distinct).Estimate() < 90 {
+	if syn, _ := querySyn(st, "uniq", "k", 0, 500); syn.(*Distinct).Estimate() < 90 {
 		t.Fatalf("uniq estimate %f", syn.(*Distinct).Estimate())
 	}
-	if syn, _ := st.QueryPoint("hits", "k", 0, 499); syn.(*Freq).Count("it0") < 60 {
+	if syn, _ := querySyn(st, "hits", "k", 0, 500); syn.(*Freq).Count("it0") < 60 {
 		t.Fatalf("hits count %d", syn.(*Freq).Count("it0"))
 	}
-	syn, _ := st.QueryPoint("top", "k", 0, 499)
+	syn, _ := querySyn(st, "top", "k", 0, 500)
 	top := syn.(*TopK).Top(7)
 	if len(top) != 7 {
 		t.Fatalf("topk size %d", len(top))
 	}
-	syn, _ = st.QueryPoint("lat", "k", 0, 499)
+	syn, _ = querySyn(st, "lat", "k", 0, 500)
 	p50 := syn.(*Quantiles).Quantile(0.5)
 	if p50 < 300 || p50 > 700 {
 		t.Fatalf("p50 %d out of plausible range", p50)
 	}
 	// Merging across metrics must be rejected, not silently absorbed.
-	a, _ := st.QueryPoint("uniq", "k", 0, 499)
-	b, _ := st.QueryPoint("lat", "k", 0, 499)
+	a, _ := querySyn(st, "uniq", "k", 0, 500)
+	b, _ := querySyn(st, "lat", "k", 0, 500)
 	if err := a.Merge(b); err == nil {
 		t.Fatal("cross-family merge accepted")
 	}
@@ -382,8 +382,8 @@ func TestRebuildFromLogMatchesLiveStore(t *testing.T) {
 	}
 	for k := 0; k < 5; k++ {
 		key := fmt.Sprintf("k%d", k)
-		a, _ := live.QueryPoint("uniques", key, 0, 299)
-		b, _ := rebuilt.QueryPoint("uniques", key, 0, 299)
+		a, _ := querySyn(live, "uniques", key, 0, 300)
+		b, _ := querySyn(rebuilt, "uniques", key, 0, 300)
 		if a.(*Distinct).Estimate() != b.(*Distinct).Estimate() {
 			t.Fatalf("key %s: live %f != rebuilt %f", key,
 				a.(*Distinct).Estimate(), b.(*Distinct).Estimate())
@@ -409,7 +409,7 @@ func TestRebuildRespectsLogRetention(t *testing.T) {
 	if applied != 100 {
 		t.Fatalf("applied %d, want the 100 retained messages", applied)
 	}
-	syn, _ := st.QueryPoint("uniques", "k", 0, 9)
+	syn, _ := querySyn(st, "uniques", "k", 0, 10)
 	est := syn.(*Distinct).Estimate()
 	if est < 95 || est > 105 {
 		t.Fatalf("rebuilt estimate %f, want ~100", est)

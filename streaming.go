@@ -770,21 +770,6 @@ func DecodeObservation(data []byte) (StoreObservation, error) {
 	return store.DecodeObservation(data)
 }
 
-// StoreBolt sinks a topology stream into a SketchStore.
-//
-// Deprecated: StoreBolt is SinkBolt; use NewSinkBolt with any Backend
-// (wrap it with Instrument for serving telemetry).
-type StoreBolt = engine.StoreBolt
-
-// NewStoreBolt returns a bolt sinking into st; extract maps messages to
-// observations (nil accepts Message.Value of type StoreObservation).
-//
-// Deprecated: use NewSinkBolt — a SketchStore is a Backend, and
-// Instrument adds telemetry to any of them.
-func NewStoreBolt(st *SketchStore, extract func(TupleMessage) (StoreObservation, bool)) (*StoreBolt, error) {
-	return engine.NewStoreBolt(st, extract)
-}
-
 // CombineSnapshots merges partial query answers (e.g. per-node or per-key
 // snapshots) into one fresh synopsis, deterministically — the
 // scatter-gather combiner (see internal/store).
@@ -843,14 +828,8 @@ const (
 // observation names a metric that was never registered.
 var ErrUnknownMetric = store.ErrUnknownMetric
 
-// PointRequest maps a legacy point query (one metric, one key, inclusive
-// [from, to]) onto the QueryRequest it is equivalent to.
-func PointRequest(metric, key string, from, to int64) QueryRequest {
-	return store.PointRequest(metric, key, from, to)
-}
-
 // SinkBolt sinks a topology stream into any serving Backend — the one
-// terminal bolt that replaces StoreBolt/ClusterBolt/LambdaBolt.
+// terminal bolt for the store, the cluster router and Lambda alike.
 type SinkBolt = engine.SinkBolt
 
 // NewSinkBolt returns a bolt sinking into be; extract maps messages to
@@ -1004,21 +983,6 @@ type ClusterRouter = dstore.Router
 // then StartNode.
 func NewStoreCluster(cfg StoreClusterConfig) (*StoreCluster, error) { return dstore.New(cfg) }
 
-// ClusterBolt forwards a topology stream into a cluster's router.
-//
-// Deprecated: ClusterBolt is SinkBolt; use NewSinkBolt with any Backend
-// (wrap it with Instrument for serving telemetry).
-type ClusterBolt = engine.ClusterBolt
-
-// NewClusterBolt returns a bolt forwarding into r; extract maps messages
-// to observations (nil accepts Message.Value of type StoreObservation).
-//
-// Deprecated: use NewSinkBolt — a ClusterRouter is a Backend, and
-// Instrument adds telemetry to any of them.
-func NewClusterBolt(r *ClusterRouter, extract func(TupleMessage) (StoreObservation, bool)) (*ClusterBolt, error) {
-	return engine.NewClusterBolt(r, extract)
-}
-
 // ReplayLog feeds the retained prefix of an mqlog topic into the store —
 // the Lambda batch-layer recomputation (decode nil uses the wire codec).
 func ReplayLog(st *SketchStore, topic *LogTopic, decode store.Decoder) (uint64, error) {
@@ -1110,22 +1074,6 @@ func ReplayLogPartitionTo(st *SketchStore, topic *LogTopic, pid int, from, end u
 // LogReader is an end-offset-bounded sequential reader over one log
 // partition (LogTopic.NewReader).
 type LogReader = mqlog.Reader
-
-// LambdaBolt sinks a topology stream into a Lambda architecture,
-// dispatching every tuple to both the master log and the speed layer.
-//
-// Deprecated: LambdaBolt is SinkBolt; use NewSinkBolt with any Backend
-// (wrap it with Instrument for serving telemetry).
-type LambdaBolt = engine.LambdaBolt
-
-// NewLambdaBolt returns a bolt sinking into arch; extract maps messages
-// to observations (nil accepts Message.Value of type StoreObservation).
-//
-// Deprecated: use NewSinkBolt — a Lambda is a Backend, and Instrument
-// adds telemetry to any of them.
-func NewLambdaBolt(arch *Lambda, extract func(TupleMessage) (StoreObservation, bool)) (*LambdaBolt, error) {
-	return engine.NewLambdaBolt(arch, extract)
-}
 
 // ---- HTTP serving tier (analyticsd: wire codec, edge cache, client) ----
 

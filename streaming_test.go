@@ -13,6 +13,15 @@ import (
 // surface a downstream user sees — complementing the per-package unit
 // tests in internal/.
 
+// querySyn answers one series over the half-open [from, to) through q's
+// Query and returns the merged synopsis.
+func querySyn(q interface {
+	Query(repro.QueryRequest) (repro.QueryResult, error)
+}, metric, key string, from, to int64) (repro.StoreSynopsis, error) {
+	res, err := q.Query(repro.QueryRequest{Metric: metric, Key: key, From: from, To: to})
+	return res.Raw(), err
+}
+
 func TestFacadeSketchRoundTrip(t *testing.T) {
 	hll, err := repro.NewHyperLogLog(12, 1)
 	if err != nil {
@@ -145,7 +154,7 @@ func TestFacadeLambda(t *testing.T) {
 	if err := arch.Append(repro.StoreObservation{Metric: "hits", Key: "k", Item: "u", Value: 3, Time: 1}); err != nil {
 		t.Fatal(err)
 	}
-	syn, err := arch.QueryPoint("hits", "k", 0, 10)
+	syn, err := querySyn(arch, "hits", "k", 0, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +169,7 @@ func TestFacadeLambda(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs, err := view.QueryPoint("hits", "k", 0, 10)
+	vs, err := querySyn(view, "hits", "k", 0, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,15 +235,9 @@ func TestFacadeBackend(t *testing.T) {
 		if got := res.Distinct(); got < 35 || got > 45 {
 			t.Fatalf("typed distinct %d, want ~40", got)
 		}
-		// The typed path equals the legacy point wrapper.
-		syn, err := be.(interface {
-			QueryPoint(metric, key string, from, to int64) (repro.StoreSynopsis, error)
-		}).QueryPoint("uniques", "home", 0, 49)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := syn.(*repro.DistinctSynopsis).Estimate(); float64(res.Distinct()) != math.Round(want) {
-			t.Fatalf("typed %d != point %f", res.Distinct(), want)
+		// The typed accessor is the raw synopsis's rounded estimate.
+		if want := res.Raw().(*repro.DistinctSynopsis).Estimate(); float64(res.Distinct()) != math.Round(want) {
+			t.Fatalf("typed %d != raw %f", res.Distinct(), want)
 		}
 		// Unified error semantics: unknown metrics carry the sentinel...
 		if _, err := be.Query(repro.QueryRequest{Metric: "nope", Key: "home", From: 0, To: 50}); !errors.Is(err, repro.ErrUnknownMetric) {
@@ -436,11 +439,11 @@ func TestFacadeSketchStore(t *testing.T) {
 	}
 	for k := 0; k < 4; k++ {
 		key := fmt.Sprintf("page%d", k)
-		a, err := st.QueryPoint("uniques", key, 0, 499)
+		a, err := querySyn(st, "uniques", key, 0, 500)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := batch.QueryPoint("uniques", key, 0, 499)
+		b, err := querySyn(batch, "uniques", key, 0, 500)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -517,11 +520,11 @@ func TestFacadeStoreCluster(t *testing.T) {
 	}
 	var parts []repro.StoreSynopsis
 	for _, key := range keys {
-		a, err := r.QueryPoint("uniques", key, 0, 499)
+		a, err := querySyn(r, "uniques", key, 0, 500)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := batch.QueryPoint("uniques", key, 0, 499)
+		b, err := querySyn(batch, "uniques", key, 0, 500)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -533,7 +536,7 @@ func TestFacadeStoreCluster(t *testing.T) {
 		parts = append(parts, b)
 	}
 	// Scatter-gather union vs a manual combine of the oracle's parts.
-	union, err := r.QueryMerged("uniques", keys, 0, 499)
+	union, err := r.Query(repro.QueryRequest{Metric: "uniques", Keys: keys, From: 0, To: 500, Aggregate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +544,7 @@ func TestFacadeStoreCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g, w := union.(*repro.DistinctSynopsis).Estimate(), want.(*repro.DistinctSynopsis).Estimate(); g != w {
+	if g, w := union.Raw().(*repro.DistinctSynopsis).Estimate(), want.(*repro.DistinctSynopsis).Estimate(); g != w {
 		t.Fatalf("scatter-gather union %f != combined oracle %f", g, w)
 	}
 }
