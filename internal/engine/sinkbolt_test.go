@@ -277,3 +277,184 @@ func TestDefaultExtract(t *testing.T) {
 		t.Fatal("foreign value extracted")
 	}
 }
+
+// pageSpout emits tuples observations over eight page keys, keyed by
+// page so fields grouping keeps each series on one task.
+func pageSpout(tuples int, obs func(i int) store.Observation) Spout {
+	emitted := 0
+	return SpoutFunc(func() (Message, bool) {
+		if emitted >= tuples {
+			return Message{}, false
+		}
+		o := obs(emitted)
+		emitted++
+		return Message{Key: o.Key, Value: o}, true
+	})
+}
+
+// runSink drives be through a SinkBolt under a 4-task fields-grouped
+// topology and fails the test on any dropped or failed tuple.
+func runSink(t *testing.T, be analytics.Backend, spout Spout) *SinkBolt {
+	t.Helper()
+	sink, err := NewSinkBolt(be, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := NewBuilder().
+		AddSpout("events", spout).
+		AddBolt("sink", sink.Factory(), 4, FieldsFrom("events")).
+		Build(Config{Semantics: AtLeastOnce})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats := topo.Run(); stats.Dropped != 0 || stats.Errors["sink"] != 0 {
+		t.Fatalf("topology failures: %+v", stats)
+	}
+	return sink
+}
+
+func uniquesAt(i int) store.Observation {
+	return store.Observation{
+		Metric: "uniques",
+		Key:    fmt.Sprintf("page%d", i%8),
+		Item:   fmt.Sprintf("user%d", i%900),
+		Time:   int64(i % 300),
+	}
+}
+
+func pageKey(k int) store.QueryRequest {
+	return store.QueryRequest{Metric: "uniques", Key: fmt.Sprintf("page%d", k), From: 0, To: 300}
+}
+
+// Parallel sink tasks share one store instance: the store locks per
+// shard, not per task, so every tuple lands and each page's distinct
+// count matches its user residue class.
+func TestStoreBoltSinksTopologyStream(t *testing.T) {
+	st, err := store.New(store.Config{Shards: 4, BucketWidth: 10, RingBuckets: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := store.NewDistinctProto(12, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.RegisterMetric("uniques", proto); err != nil {
+		t.Fatal(err)
+	}
+	const tuples = 4000
+	runSink(t, st, pageSpout(tuples, uniquesAt))
+	got := st.Stats()
+	if got.Observed != tuples {
+		t.Fatalf("store observed %d, want %d", got.Observed, tuples)
+	}
+	if got.Entries != 8 {
+		t.Fatalf("entries %d, want 8", got.Entries)
+	}
+	for k := 0; k < 8; k++ {
+		res, err := st.Query(pageKey(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// gcd(8 pages, 900 users) = 4, so each page cycles through a
+		// 225-user residue class; allow HLL error around that.
+		if d := res.Distinct(); d < 200 || d > 250 {
+			t.Fatalf("page%d distinct %d", k, d)
+		}
+	}
+}
+
+// Parallel sink tasks forward a keyed stream to a three-node cluster's
+// router; after Flush and a drain, every series served by its owning node
+// equals one store rebuilt from the same log.
+func TestClusterBoltSinksTopologyStream(t *testing.T) {
+	geom := store.Config{Shards: 4, BucketWidth: 10, RingBuckets: 100}
+	c, err := dstore.New(dstore.Config{Partitions: 8, Store: geom})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	proto, err := store.NewDistinctProto(12, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RegisterMetric("uniques", proto); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := c.StartNode(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const tuples = 4000
+	sink := runSink(t, c.Router(), pageSpout(tuples, uniquesAt))
+	sink.Flush()
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if cst := c.Stats(); cst.Applied+cst.Replayed != tuples {
+		t.Fatalf("cluster consumed %d, want %d", cst.Applied+cst.Replayed, tuples)
+	}
+	oracle, _, err := store.Rebuild(geom, map[string]store.Prototype{"uniques": proto}, c.Topic(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 8; k++ {
+		got, err := c.Router().Query(pageKey(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oracle.Query(pageKey(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Distinct() != want.Distinct() {
+			t.Fatalf("page%d: cluster %d != oracle %d", k, got.Distinct(), want.Distinct())
+		}
+	}
+}
+
+// One SinkBolt drives both Lambda layers: every tuple lands in the master
+// log AND the speed layer, so exact per-page counts hold before a batch
+// recompute and after it, once the speed layer is truncated to nothing.
+func TestLambdaBoltDrivesBothLayers(t *testing.T) {
+	geom := store.Config{Shards: 4, BucketWidth: 10, RingBuckets: 100}
+	a, err := lambda.New(lambda.Config{Partitions: 4, Batch: geom, Speed: geom})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	proto, err := store.NewFreqProto(256, 4, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.RegisterMetric("hits", proto); err != nil {
+		t.Fatal(err)
+	}
+	const tuples = 4000
+	runSink(t, a, pageSpout(tuples, func(i int) store.Observation {
+		return store.Observation{Metric: "hits", Key: fmt.Sprintf("page%d", i%8), Item: "view", Value: 1, Time: int64(i % 300)}
+	}))
+	if got := a.MasterLen(); got != tuples {
+		t.Fatalf("master log has %d messages, want %d", got, tuples)
+	}
+	checkCounts := func(phase string) {
+		t.Helper()
+		for k := 0; k < 8; k++ {
+			res, err := a.Query(store.QueryRequest{Metric: "hits", Key: fmt.Sprintf("page%d", k), From: 0, To: 300})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Count("view"); got != tuples/8 {
+				t.Fatalf("page%d %s merged count %d, want %d", k, phase, got, tuples/8)
+			}
+		}
+	}
+	checkCounts("pre-batch")
+	if _, err := a.RunBatch(); err != nil {
+		t.Fatal(err)
+	}
+	if obs := a.SpeedStats().Observed; obs != 0 {
+		t.Fatalf("speed layer holds %d observations after handoff", obs)
+	}
+	checkCounts("post-batch")
+}
