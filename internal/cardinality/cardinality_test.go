@@ -1,6 +1,7 @@
 package cardinality
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -343,6 +344,68 @@ func TestSparseHLLMergeMixedModes(t *testing.T) {
 	}
 	if e := relErr(a.Estimate(), 50040); e > 0.08 {
 		t.Fatalf("sparse+dense merge error %.3f", e)
+	}
+}
+
+// Merge must keep Items() equal to the updates both sides absorbed in
+// every pairing of sparse and dense sketches, including the ones where
+// the dense side's own counter does the bookkeeping.
+func TestSparseHLLMergeKeepsItems(t *testing.T) {
+	fill := func(n uint64, base uint64) *SparseHLL {
+		s, _ := NewSparseHLL(8, 3)
+		for i := uint64(0); i < n; i++ {
+			s.UpdateUint64(base + i)
+		}
+		return s
+	}
+	for _, tc := range []struct{ a, b uint64 }{{5, 7}, {5, 900}, {900, 5}, {900, 800}} {
+		a, b := fill(tc.a, 0), fill(tc.b, 1<<20)
+		if err := a.Merge(b); err != nil {
+			t.Fatal(err)
+		}
+		if got := a.Items(); got != tc.a+tc.b {
+			t.Fatalf("%d + %d updates merged: Items() = %d", tc.a, tc.b, got)
+		}
+	}
+}
+
+// The sparse form answers and encodes exactly as a dense HyperLogLog fed
+// the same stream, on both sides of the conversion and across merges.
+func TestSparseHLLMatchesDense(t *testing.T) {
+	rng := workload.NewRNG(43)
+	for trial := 0; trial < 50; trial++ {
+		p := uint8(4 + rng.Uint64()%9)
+		sp, _ := NewSparseHLL(p, 5)
+		other, _ := NewSparseHLL(p, 5)
+		dn, _ := NewHyperLogLog(p, 5)
+		n := rng.Uint64() % (1 << p)
+		for i := uint64(0); i < n; i++ {
+			x := rng.Uint64() % (1 << p)
+			dn.UpdateUint64(x)
+			if i%2 == 0 {
+				sp.UpdateUint64(x)
+			} else {
+				other.UpdateUint64(x)
+			}
+		}
+		if err := sp.Merge(other); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := sp.MarshalBinary()
+		want, _ := dn.MarshalBinary()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("trial %d (p=%d, n=%d): bytes differ from dense", trial, p, n)
+		}
+		if math.Float64bits(sp.Estimate()) != math.Float64bits(dn.Estimate()) {
+			t.Fatalf("trial %d: estimate %v != dense %v", trial, sp.Estimate(), dn.Estimate())
+		}
+		back, _ := NewSparseHLL(p, 5)
+		if err := back.UnmarshalBinary(got); err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := back.MarshalBinary(); !bytes.Equal(again, got) || back.Items() != dn.Items() {
+			t.Fatalf("trial %d: round trip changed the sketch", trial)
+		}
 	}
 }
 

@@ -397,20 +397,15 @@ func TestAggregateQueryScattersAcrossNodes(t *testing.T) {
 // the cluster holds every series (T3.1 measures the throughput side of
 // this; here we pin the state side deterministically).
 func TestPerNodeBudgetsPartitionState(t *testing.T) {
-	// Per-node budget 4 x 128 KB = 512 KB: the ~2 MB working set below
-	// overflows one node 4x but fits eight nodes (~256 KB each) with 2x
-	// slack for hash skew across partitions and shards.
-	budgeted := store.Config{Shards: 4, BucketWidth: 1 << 20, RingBuckets: 2, MaxShardBytes: 128 << 10}
-	run := func(nodes int) Stats {
-		c := newTestCluster(t, Config{Partitions: 8, Store: budgeted})
+	run := func(nodes int, cfg store.Config) Stats {
+		c := newTestCluster(t, Config{Partitions: 8, Store: cfg})
 		for i := 0; i < nodes; i++ {
 			if _, err := c.StartNode(); err != nil {
 				t.Fatal(err)
 			}
 		}
 		r := c.Router()
-		// ~512 HLL series at 4 KB each = ~2 MB of working set vs a
-		// 256 KB per-node budget.
+		// 512 equal-sized HLL series of 8 items each.
 		for i := 0; i < 4096; i++ {
 			if err := r.Observe(store.Observation{
 				Metric: "uniq",
@@ -426,7 +421,14 @@ func TestPerNodeBudgetsPartitionState(t *testing.T) {
 		}
 		return c.Stats()
 	}
-	one, eight := run(1), run(8)
+	// The working set is whatever an unbudgeted node holds. A per-shard
+	// budget of 1/16 of it makes a per-node budget (4 shards) of 1/4: the
+	// working set overflows one node 4x but fits eight nodes (~1/8 each)
+	// with 2x slack for hash skew across partitions and shards.
+	unbudgeted := store.Config{Shards: 4, BucketWidth: 1 << 20, RingBuckets: 2}
+	budgeted := unbudgeted
+	budgeted.MaxShardBytes = run(1, unbudgeted).Store.Bytes / 16
+	one, eight := run(1, budgeted), run(8, budgeted)
 	if one.Store.EvictedSize == 0 {
 		t.Fatal("single node never evicted despite an overflowing working set")
 	}

@@ -24,16 +24,9 @@ const cmFlagConservative = 1
 // decode (UnmarshalInto), matching the mergeable-sketch deployment model:
 // all parties share (seed, width, depth) as configuration.
 func (cm *CountMin) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 4+4+4+1+8+8+cm.width*cm.depth*8)
-	binary.LittleEndian.PutUint32(out[0:], cmMagic)
-	binary.LittleEndian.PutUint32(out[4:], uint32(cm.width))
-	binary.LittleEndian.PutUint32(out[8:], uint32(cm.depth))
-	if cm.conservative {
-		out[12] = cmFlagConservative
-	}
-	binary.LittleEndian.PutUint64(out[13:], cm.n)
-	binary.LittleEndian.PutUint64(out[21:], cm.fam.Seed(0))
-	pos := 29
+	out := make([]byte, cmHeaderSize+cm.width*cm.depth*8)
+	putCountMinHeader(out, cm.width, cm.depth, cm.conservative, cm.n, cm.fam.Seed(0))
+	pos := cmHeaderSize
 	for d := 0; d < cm.depth; d++ {
 		for w := 0; w < cm.width; w++ {
 			binary.LittleEndian.PutUint64(out[pos:], cm.counts[d][w])
@@ -43,6 +36,20 @@ func (cm *CountMin) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
+const cmHeaderSize = 29
+
+// putCountMinHeader writes the layout's header into out[:cmHeaderSize].
+func putCountMinHeader(out []byte, width, depth int, conservative bool, n, seedCheck uint64) {
+	binary.LittleEndian.PutUint32(out[0:], cmMagic)
+	binary.LittleEndian.PutUint32(out[4:], uint32(width))
+	binary.LittleEndian.PutUint32(out[8:], uint32(depth))
+	if conservative {
+		out[12] = cmFlagConservative
+	}
+	binary.LittleEndian.PutUint64(out[13:], n)
+	binary.LittleEndian.PutUint64(out[21:], seedCheck)
+}
+
 // UnmarshalBinary decodes into the receiver, which must already be
 // constructed with the encoder's geometry and seed (the checkpoint
 // restore path: the store rehydrates into a fresh Prototype instance, so
@@ -50,12 +57,12 @@ func (cm *CountMin) MarshalBinary() ([]byte, error) {
 // A width/depth mismatch or a different hash family is ErrIncompatible,
 // not silently-wrong estimates.
 func (cm *CountMin) UnmarshalBinary(data []byte) error {
-	if len(data) < 29 || binary.LittleEndian.Uint32(data[0:]) != cmMagic {
+	if len(data) < cmHeaderSize || binary.LittleEndian.Uint32(data[0:]) != cmMagic {
 		return core.ErrCorrupt
 	}
 	width := int(binary.LittleEndian.Uint32(data[4:]))
 	depth := int(binary.LittleEndian.Uint32(data[8:]))
-	if width <= 0 || depth <= 0 || len(data) != 29+width*depth*8 {
+	if width <= 0 || depth <= 0 || len(data) != cmHeaderSize+width*depth*8 {
 		return core.ErrCorrupt
 	}
 	if width != cm.width || depth != cm.depth {
@@ -66,7 +73,7 @@ func (cm *CountMin) UnmarshalBinary(data []byte) error {
 	}
 	cm.conservative = data[12]&cmFlagConservative != 0
 	cm.n = binary.LittleEndian.Uint64(data[13:])
-	pos := 29
+	pos := cmHeaderSize
 	for d := 0; d < depth; d++ {
 		for w := 0; w < width; w++ {
 			cm.counts[d][w] = binary.LittleEndian.Uint64(data[pos:])
@@ -81,7 +88,7 @@ func (cm *CountMin) UnmarshalBinary(data []byte) error {
 // and rejected, because a sketch queried under the wrong hash family
 // silently returns garbage.
 func UnmarshalCountMin(data []byte, seed uint64) (*CountMin, error) {
-	if len(data) < 29 {
+	if len(data) < cmHeaderSize {
 		return nil, core.ErrCorrupt
 	}
 	if binary.LittleEndian.Uint32(data[0:]) != cmMagic {
@@ -89,7 +96,7 @@ func UnmarshalCountMin(data []byte, seed uint64) (*CountMin, error) {
 	}
 	width := int(binary.LittleEndian.Uint32(data[4:]))
 	depth := int(binary.LittleEndian.Uint32(data[8:]))
-	if width <= 0 || depth <= 0 || len(data) != 29+width*depth*8 {
+	if width <= 0 || depth <= 0 || len(data) != cmHeaderSize+width*depth*8 {
 		return nil, core.ErrCorrupt
 	}
 	cm, err := NewCountMin(width, depth, seed)
@@ -101,7 +108,7 @@ func UnmarshalCountMin(data []byte, seed uint64) (*CountMin, error) {
 	}
 	cm.conservative = data[12]&cmFlagConservative != 0
 	cm.n = binary.LittleEndian.Uint64(data[13:])
-	pos := 29
+	pos := cmHeaderSize
 	for d := 0; d < depth; d++ {
 		for w := 0; w < width; w++ {
 			cm.counts[d][w] = binary.LittleEndian.Uint64(data[pos:])

@@ -1,6 +1,7 @@
 package quantile
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -56,13 +57,23 @@ func (q *QDigest) Compress() {
 		return
 	}
 	threshold := q.n / q.k
+	if threshold == 0 {
+		// No family is below a zero threshold, so the only work is
+		// dropping empty non-root nodes; order does not matter.
+		for id, c := range q.counts {
+			if c == 0 && id > 1 {
+				delete(q.counts, id)
+			}
+		}
+		return
+	}
 	// Process nodes from deepest level upward.
 	ids := make([]uint64, 0, len(q.counts))
 	for id := range q.counts {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] > ids[j] })
-	for _, id := range ids {
+	slices.Sort(ids)
+	for _, id := range slices.Backward(ids) {
 		if id <= 1 {
 			continue
 		}

@@ -233,3 +233,18 @@ func FuzzObservationCodec(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSparseDenseEquivalence drives runEquivalence's byte script —
+// observations, merges in both directions, Reset, decode round trips —
+// and fails as soon as a sparse-first Distinct or Freq differs from the
+// dense sketch fed the same operations in bytes, Items, Estimate or
+// Count. Seed corpus lives in testdata/fuzz/FuzzSparseDenseEquivalence.
+func FuzzSparseDenseEquivalence(f *testing.F) {
+	f.Add([]byte{0, 1, 3, 2, 4, 0})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 4096 {
+			return
+		}
+		runEquivalence(t, script)
+	})
+}

@@ -387,23 +387,38 @@ func TestHotKeyMaxHotCap(t *testing.T) {
 // splayed store under a budget stays within it and still evicts.
 func TestHotKeySubEntriesRespectByteBudget(t *testing.T) {
 	cfg := lifecycleConfig()
-	// Keep a full ring (~8 x 4KB) under the budget: eviction keeps at
-	// least one entry per shard, so the bound below only holds when any
-	// single entry fits the budget.
 	cfg.RingBuckets = 8
-	cfg.MaxShardBytes = 64 << 10
-	st := mustStore(t, cfg)
-	registerUniques(t, st) // precision 12: ~4KB per bucket synopsis
-	for i := 0; i < 30000; i++ {
-		key := fmt.Sprintf("k%d", i%40)
-		if i%3 != 2 {
-			key = "hot"
+	run := func(cfg Config) *Store {
+		st := mustStore(t, cfg)
+		registerUniques(t, st)
+		for i := 0; i < 30000; i++ {
+			key := fmt.Sprintf("k%d", i%40)
+			if i%3 != 2 {
+				key = "hot"
+			}
+			if err := st.Observe(Observation{Metric: "uniques", Key: key, Item: fmt.Sprintf("i%d", i%64), Time: int64(i / 100)}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := st.Observe(Observation{Metric: "uniques", Key: key, Item: fmt.Sprintf("i%d", i%64), Time: int64(i / 100)}); err != nil {
-			t.Fatal(err)
-		}
+		st.FlushHot()
+		return st
 	}
-	st.FlushHot()
+	// Budget each shard at the mean shard footprint of an unbudgeted twin
+	// fed the same stream, so the busier shards overflow it. Eviction keeps
+	// at least one entry per shard, so the bound below only holds when any
+	// single entry fits the budget; the twin checks that it does.
+	twin := run(cfg)
+	cfg.MaxShardBytes = twin.Stats().Bytes / twin.Shards()
+	for _, sh := range twin.shards {
+		sh.mu.RLock()
+		for _, e := range sh.entries {
+			if e.bytes > cfg.MaxShardBytes {
+				t.Fatalf("an entry of %d bytes does not fit the %d-byte budget", e.bytes, cfg.MaxShardBytes)
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	st := run(cfg)
 	stats := st.Stats()
 	if max := cfg.MaxShardBytes * st.Shards(); stats.Bytes > max {
 		t.Fatalf("bytes %d exceed total budget %d: %+v", stats.Bytes, max, stats)

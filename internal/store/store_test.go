@@ -204,17 +204,31 @@ func TestTimeJumpExpiresStaleBuckets(t *testing.T) {
 	}
 }
 
-func TestSizeEvictionHonorsByteBudget(t *testing.T) {
-	// An HLL at precision 12 is ~4KB, so a 20KB budget holds only a few
-	// entries per shard; 50 keys on one shard must evict the cold ones.
-	st := mustStore(t, Config{Shards: 1, BucketWidth: 10, RingBuckets: 4, MaxShardBytes: 20 << 10})
-	registerUniques(t, st)
-	for i := 0; i < 50; i++ {
-		obs := Observation{Metric: "uniques", Key: fmt.Sprintf("k%d", i), Item: "x", Time: 0}
-		if err := st.Observe(obs); err != nil {
-			t.Fatal(err)
+// denseItems is enough distinct items to carry a precision-12 bucket past
+// a quarter of its registers, into the dense ~4KB form.
+const denseItems = 1500
+
+// fillSeries writes items distinct items into each of keys series, one
+// series after another, all in bucket 0.
+func fillSeries(t *testing.T, st *Store, keys, items int) {
+	t.Helper()
+	for i := 0; i < keys; i++ {
+		for j := 0; j < items; j++ {
+			obs := Observation{Metric: "uniques", Key: fmt.Sprintf("k%d", i), Item: fmt.Sprintf("x%d", j), Time: 0}
+			if err := st.Observe(obs); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+}
+
+func TestSizeEvictionHonorsByteBudget(t *testing.T) {
+	// A dense HLL at precision 12 is ~4KB, so a 20KB budget holds only a
+	// few dense series per shard; 50 of them on one shard must evict the
+	// cold ones.
+	st := mustStore(t, Config{Shards: 1, BucketWidth: 10, RingBuckets: 4, MaxShardBytes: 20 << 10})
+	registerUniques(t, st)
+	fillSeries(t, st, 50, denseItems)
 	stats := st.Stats()
 	if stats.Bytes > 20<<10 {
 		t.Fatalf("shard bytes %d exceed budget", stats.Bytes)
@@ -236,6 +250,24 @@ func TestSizeEvictionHonorsByteBudget(t *testing.T) {
 	syn, _ = querySyn(st, "uniques", "k0", 0, 10)
 	if syn.(*Distinct).Estimate() != 0 {
 		t.Fatal("coldest key survived a full budget")
+	}
+}
+
+// A bucket costs what it holds: the budget that fits only a few dense
+// series holds every one of 50 single-item sparse series.
+func TestByteBudgetHoldsMoreSparseSeries(t *testing.T) {
+	fill := func(items int) Stats {
+		st := mustStore(t, Config{Shards: 1, BucketWidth: 10, RingBuckets: 4, MaxShardBytes: 20 << 10})
+		registerUniques(t, st)
+		fillSeries(t, st, 50, items)
+		return st.Stats()
+	}
+	sparse, dense := fill(1), fill(denseItems)
+	if sparse.Entries != 50 || sparse.EvictedSize != 0 {
+		t.Fatalf("sparse series: %d held, %d evicted; want all 50 held", sparse.Entries, sparse.EvictedSize)
+	}
+	if dense.Entries >= sparse.Entries {
+		t.Fatalf("budget holds %d dense series, not fewer than %d sparse ones", dense.Entries, sparse.Entries)
 	}
 }
 

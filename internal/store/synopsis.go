@@ -11,7 +11,6 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/cardinality"
@@ -79,23 +78,24 @@ func CombineSnapshots(proto Prototype, parts ...Synopsis) (Synopsis, error) {
 
 // ---- Distinct counting (HyperLogLog) ----
 
-// Distinct is a bucket synopsis counting unique items with a HyperLogLog.
-// The observation value is ignored.
+// Distinct is a bucket synopsis counting unique items with a sparse-first
+// HyperLogLog (cardinality.SparseHLL): a bucket holds one 4-byte word per
+// occupied register until a quarter of the registers are occupied, and
+// answers, merges and encodes exactly as the dense sketch would. The
+// observation value is ignored.
 type Distinct struct {
-	h *cardinality.HyperLogLog
+	h cardinality.SparseHLL
 }
 
 // NewDistinctProto returns a Prototype of HyperLogLog synopses with 2^p
 // registers. The constructor is validated once, eagerly, so a bad
 // precision fails at registration time rather than on first write.
 func NewDistinctProto(precision uint8, seed uint64) (Prototype, error) {
-	if _, err := cardinality.NewHyperLogLog(precision, seed); err != nil {
+	empty, err := cardinality.NewSparseHLL(precision, seed)
+	if err != nil {
 		return nil, err
 	}
-	return func() Synopsis {
-		h, _ := cardinality.NewHyperLogLog(precision, seed)
-		return &Distinct{h: h}
-	}, nil
+	return func() Synopsis { return &Distinct{h: *empty} }, nil
 }
 
 // Observe implements Synopsis.
@@ -107,7 +107,7 @@ func (d *Distinct) Merge(other Synopsis) error {
 	if !ok {
 		return fmt.Errorf("store: cannot merge %T into *store.Distinct: %w", other, core.ErrIncompatible)
 	}
-	return d.h.Merge(o.h)
+	return d.h.Merge(&o.h)
 }
 
 // Reset implements Resettable.
@@ -124,21 +124,22 @@ func (d *Distinct) Estimate() float64 { return d.h.Estimate() }
 
 // ---- Item frequencies (Count-Min) ----
 
-// Freq is a bucket synopsis estimating per-item counts with a Count-Min
-// sketch. The observation value is the occurrence weight (0 counts as 1).
+// Freq is a bucket synopsis estimating per-item counts with a sparse-first
+// Count-Min sketch (frequency.SparseCountMin): a bucket keeps exact
+// (item, weight) cells until they would outweigh the counter matrix, and
+// answers, merges and encodes exactly as the dense sketch would. The
+// observation value is the occurrence weight (0 counts as 1).
 type Freq struct {
-	cm *frequency.CountMin
+	cm frequency.SparseCountMin
 }
 
 // NewFreqProto returns a Prototype of width x depth Count-Min synopses.
 func NewFreqProto(width, depth int, seed uint64) (Prototype, error) {
-	if _, err := frequency.NewCountMin(width, depth, seed); err != nil {
+	empty, err := frequency.NewSparseCountMin(width, depth, seed)
+	if err != nil {
 		return nil, err
 	}
-	return func() Synopsis {
-		cm, _ := frequency.NewCountMin(width, depth, seed)
-		return &Freq{cm: cm}
-	}, nil
+	return func() Synopsis { return &Freq{cm: *empty} }, nil
 }
 
 // Observe implements Synopsis.
@@ -155,7 +156,7 @@ func (f *Freq) Merge(other Synopsis) error {
 	if !ok {
 		return fmt.Errorf("store: cannot merge %T into *store.Freq: %w", other, core.ErrIncompatible)
 	}
-	return f.cm.Merge(o.cm)
+	return f.cm.Merge(&o.cm)
 }
 
 // Reset implements Resettable.
@@ -276,31 +277,27 @@ func (qs *Quantiles) Quantile(phi float64) uint64 { return qs.q.Query(phi) }
 // receiver carries the configuration (widths, seeds, universes) and the
 // codecs verify the bytes against it where the underlying sketch can.
 
-// MarshalBinary implements encoding.BinaryMarshaler.
+// MarshalBinary implements encoding.BinaryMarshaler. The bytes are the
+// dense HyperLogLog layout whichever form the bucket is in.
 func (d *Distinct) MarshalBinary() ([]byte, error) { return d.h.MarshalBinary() }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. The
-// HyperLogLog's own decoder adopts whatever precision and seed the bytes
-// carry, so the adapter first checks them against the receiver's — a
-// checkpoint written under a different hash seed must not silently
-// rehydrate into this prototype.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. Bytes written
+// under another precision or hash seed are ErrIncompatible: a checkpoint
+// written under a different seed must not silently rehydrate into this
+// prototype.
 func (d *Distinct) UnmarshalBinary(data []byte) error {
-	if len(data) >= 9 {
-		cur, err := d.h.MarshalBinary()
-		if err != nil {
-			return err
-		}
-		if cur[0] != data[0] || !bytes.Equal(cur[1:9], data[1:9]) {
-			return fmt.Errorf("store: distinct synopsis: %w", core.ErrIncompatible)
-		}
+	if err := d.h.UnmarshalBinary(data); err != nil {
+		return fmt.Errorf("store: distinct synopsis: %w", err)
 	}
-	return d.h.UnmarshalBinary(data)
+	return nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
+// MarshalBinary implements encoding.BinaryMarshaler. The bytes are the
+// dense Count-Min layout whichever form the bucket is in.
 func (f *Freq) MarshalBinary() ([]byte, error) { return f.cm.MarshalBinary() }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. Counters cannot
+// be split back into cells, so a decoded bucket is dense.
 func (f *Freq) UnmarshalBinary(data []byte) error { return f.cm.UnmarshalBinary(data) }
 
 // MarshalBinary implements encoding.BinaryMarshaler.

@@ -17,9 +17,13 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
+	"repro/internal/cardinality"
+	"repro/internal/frequency"
 	"repro/internal/workload"
 )
 
@@ -410,5 +414,258 @@ func TestCombineSnapshotsErrors(t *testing.T) {
 	}
 	if _, err := CombineSnapshots(hll, hll(), cm()); err == nil {
 		t.Fatal("cross-family combine accepted")
+	}
+}
+
+// ---- Sparse-first buckets vs always-dense sketches ----
+//
+// Distinct and Freq keep sparse forms until their footprint would pass
+// the dense sketch's, and promise every observable of the dense sketch
+// fed the same stream: encoded bytes, Items, Estimate bits and Count. The
+// geometry here is small (64 registers: 16 words; a 16x3 matrix: 16
+// cells) so short streams cross the switch.
+
+const (
+	equivPrecision = 6
+	equivWidth     = 16
+	equivDepth     = 3
+	equivSeed      = 21
+)
+
+// equivPair is one sparse-first synopsis of each family beside the dense
+// sketches fed the same operations.
+type equivPair struct {
+	d  *Distinct
+	f  *Freq
+	hd *cardinality.HyperLogLog
+	cd *frequency.CountMin
+}
+
+func newEquivPair(t *testing.T) *equivPair {
+	dp, err := NewDistinctProto(equivPrecision, equivSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := NewFreqProto(equivWidth, equivDepth, equivSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hd, _ := cardinality.NewHyperLogLog(equivPrecision, equivSeed)
+	cd, _ := frequency.NewCountMin(equivWidth, equivDepth, equivSeed)
+	return &equivPair{d: dp().(*Distinct), f: fp().(*Freq), hd: hd, cd: cd}
+}
+
+func (p *equivPair) observe(item string, w uint64) {
+	p.d.Observe(item, w)
+	p.hd.UpdateString(item)
+	p.f.Observe(item, w)
+	p.cd.UpdateString(item, w)
+}
+
+func (p *equivPair) merge(t *testing.T, o *equivPair) {
+	mustMerge(t, p.d, o.d)
+	mustMerge(t, p.f, o.f)
+	if err := p.hd.Merge(o.hd); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.cd.Merge(o.cd); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func (p *equivPair) reset() {
+	p.d.Reset()
+	p.f.Reset()
+	p.hd.Reset()
+	p.cd.Reset()
+}
+
+// roundTrip replaces the sparse-first synopses with fresh ones decoded
+// from their bytes: the checkpoint and wire path.
+func (p *equivPair) roundTrip(t *testing.T) {
+	fresh := newEquivPair(t)
+	for _, c := range []struct {
+		from interface{ MarshalBinary() ([]byte, error) }
+		to   interface{ UnmarshalBinary([]byte) error }
+	}{{p.d, fresh.d}, {p.f, fresh.f}} {
+		data, err := c.from.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.to.UnmarshalBinary(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.d, p.f = fresh.d, fresh.f
+}
+
+// check fails unless both sparse-first synopses are their dense twins.
+func (p *equivPair) check(t *testing.T, label string) {
+	t.Helper()
+	db, _ := p.d.MarshalBinary()
+	hb, _ := p.hd.MarshalBinary()
+	if !bytes.Equal(db, hb) {
+		t.Fatalf("%s: distinct bytes differ from dense", label)
+	}
+	if p.d.Items() != p.hd.Items() {
+		t.Fatalf("%s: distinct items %d != dense %d", label, p.d.Items(), p.hd.Items())
+	}
+	if g, w := p.d.Estimate(), p.hd.Estimate(); math.Float64bits(g) != math.Float64bits(w) {
+		t.Fatalf("%s: estimate %v != dense %v", label, g, w)
+	}
+	fb, _ := p.f.MarshalBinary()
+	cb, _ := p.cd.MarshalBinary()
+	if !bytes.Equal(fb, cb) {
+		t.Fatalf("%s: freq bytes differ from dense", label)
+	}
+	if p.f.Items() != p.cd.Items() {
+		t.Fatalf("%s: freq items %d != dense %d", label, p.f.Items(), p.cd.Items())
+	}
+	for i := 0; i < equivItems; i++ {
+		item := equivItem(i)
+		if g, w := p.f.Count(item), p.cd.EstimateString(item); g != w {
+			t.Fatalf("%s: count(%q) %d != dense %d", label, item, g, w)
+		}
+	}
+}
+
+const equivItems = 48
+
+func equivItem(i int) string { return fmt.Sprintf("i%d", i%equivItems) }
+
+// runEquivalence plays a byte script of (op, arg) pairs on two pairs a
+// and b: observations into either, merges in both directions, Reset then
+// reuse, and decode round trips; after every step both must match their
+// dense twins. It returns which (receiver sparse, operand sparse) merge
+// pairings the script exercised, per family.
+func runEquivalence(t *testing.T, script []byte) (pairings [2][2][2]bool) {
+	a, b := newEquivPair(t), newEquivPair(t)
+	sparse := func(p *equivPair) [2]int {
+		return [2]int{b2i(p.d.h.IsSparse()), b2i(p.f.cm.IsSparse())}
+	}
+	note := func(dst, src *equivPair) {
+		ds, ss := sparse(dst), sparse(src)
+		for fam := 0; fam < 2; fam++ {
+			pairings[fam][ds[fam]][ss[fam]] = true
+		}
+	}
+	for i := 0; i+1 < len(script); i += 2 {
+		op, arg := script[i]%8, int(script[i+1])
+		switch op {
+		case 0, 1, 2:
+			a.observe(equivItem(arg), 1+uint64(arg%3))
+		case 3:
+			b.observe(equivItem(arg), 1+uint64(arg%3))
+		case 4:
+			note(a, b)
+			a.merge(t, b)
+		case 5:
+			note(b, a)
+			b.merge(t, a)
+		case 6:
+			a.reset()
+		case 7:
+			a.roundTrip(t)
+		}
+		a.check(t, fmt.Sprintf("step %d (op %d) a", i/2, op))
+		b.check(t, fmt.Sprintf("step %d (op %d) b", i/2, op))
+	}
+	return pairings
+}
+
+func b2i(v bool) int {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+func TestSparseFirstMatchesDense(t *testing.T) {
+	rng := workload.NewRNG(31)
+	var seen [2][2][2]bool
+	for trial := 0; trial < 200; trial++ {
+		script := make([]byte, 2*(10+rng.Uint64()%120))
+		for i := range script {
+			script[i] = byte(rng.Uint64())
+		}
+		got := runEquivalence(t, script)
+		for fam := range got {
+			for r := range got[fam] {
+				for o := range got[fam][r] {
+					seen[fam][r][o] = seen[fam][r][o] || got[fam][r][o]
+				}
+			}
+		}
+	}
+	for fam, name := range []string{"distinct", "freq"} {
+		for r := 0; r < 2; r++ {
+			for o := 0; o < 2; o++ {
+				if !seen[fam][r][o] {
+					t.Errorf("%s: no merge with receiver sparse=%v, operand sparse=%v", name, r == 1, o == 1)
+				}
+			}
+		}
+	}
+}
+
+// A store of sparse-first buckets, some crossing into dense form, answers
+// every range with the dense sketches' bytes before and after a
+// checkpoint round trip.
+func TestSparseFirstStoreCheckpointMatchesDense(t *testing.T) {
+	cfg := Config{Shards: 2, BucketWidth: 10, RingBuckets: 8}
+	open := func() *Store {
+		st := mustStore(t, cfg)
+		dp, _ := NewDistinctProto(equivPrecision, equivSeed)
+		fp, _ := NewFreqProto(equivWidth, equivDepth, equivSeed)
+		if err := st.RegisterMetric("uniq", dp); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.RegisterMetric("hits", fp); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	live := open()
+	rng := workload.NewRNG(33)
+	want := map[string]*equivPair{}
+	for i := 0; i < 3000; i++ {
+		key := fmt.Sprintf("k%d", rng.Uint64()%6)
+		// Key k0 sees a handful of items per bucket, k5 the whole universe.
+		item := equivItem(int(rng.Uint64() % uint64(8*(1+key[1]-'0'))))
+		w := 1 + rng.Uint64()%3
+		obs := []Observation{
+			{Metric: "uniq", Key: key, Item: item, Value: w, Time: int64(i / 40)},
+			{Metric: "hits", Key: key, Item: item, Value: w, Time: int64(i / 40)},
+		}
+		if err := live.ObserveBatch(obs); err != nil {
+			t.Fatal(err)
+		}
+		// Times reach 74: buckets 0-7, the whole ring, so all of it is served.
+		if want[key] == nil {
+			want[key] = newEquivPair(t)
+		}
+		want[key].observe(item, w)
+	}
+	dir := t.TempDir()
+	if _, err := WriteCheckpoint(live, dir, CheckpointMeta{}); err != nil {
+		t.Fatal(err)
+	}
+	restored := open()
+	if _, err := RestoreCheckpoint(restored, dir); err != nil {
+		t.Fatal(err)
+	}
+	for key, ref := range want {
+		for name, st := range map[string]*Store{"live": live, "restored": restored} {
+			d, err := querySyn(st, "uniq", key, 0, 80)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := querySyn(st, "hits", key, 0, 80)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.d, ref.f = d.(*Distinct), f.(*Freq)
+			ref.check(t, name+" "+key)
+		}
 	}
 }

@@ -103,3 +103,47 @@ func BenchmarkStoreIngest(b *testing.B) {
 	b.Run("bare", func(b *testing.B) { benchIngest(b, nil) })
 	b.Run("instrumented", func(b *testing.B) { benchIngest(b, telemetry.New()) })
 }
+
+// BenchmarkStoreIngestSteady is ingest into a warm store: 16 series whose
+// open buckets have already absorbed every one of the 64 items they see,
+// and 1024 writes per stream-time tick, so a bucket opens once per 10240
+// writes. What it measures is the per-write cost of hashing, the shard
+// lock and the synopsis update with no bucket allocation on the path;
+// BenchmarkStoreIngest, by contrast, opens a fresh bucket on nearly every
+// write.
+func BenchmarkStoreIngestSteady(b *testing.B) {
+	st, err := New(Config{Shards: 8, BucketWidth: 10, RingBuckets: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	hll, err := NewDistinctProto(12, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := st.RegisterMetric("uniq", hll); err != nil {
+		b.Fatal(err)
+	}
+	keys := make([]string, 16)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	items := make([]string, 64)
+	for i := range items {
+		items[i] = fmt.Sprintf("u%d", i)
+	}
+	obs := func(i int) Observation {
+		return Observation{Metric: "uniq", Key: keys[i&15], Item: items[(i>>4)&63], Time: int64(i >> 10)}
+	}
+	for i := 0; i < 1024; i++ {
+		if err := st.Observe(obs(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := st.Observe(obs(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
